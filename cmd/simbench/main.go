@@ -18,10 +18,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"math/rand"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -234,6 +237,27 @@ func eventPostPop(b *testing.B) {
 			e.Run(func(t sim.Tick, _, _ int32) { now = t })
 		}
 	}
+}
+
+// eventLockstep drives the calendar in the cluster-scale shape: 16384
+// actors in four contiguous groups step in lockstep, each dispatched event
+// re-posting its actor one group-specific step later, so the pending events
+// share a few ticks and the calendar pops them from same-tick buckets.
+func eventLockstep(b *testing.B) {
+	const actors = 1 << 14
+	e := sim.NewEventEngine()
+	for i := 0; i < actors; i++ {
+		e.Post(0, int32(i), 0)
+	}
+	n := b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run(func(now sim.Tick, actor, _ int32) {
+		if n > 0 {
+			n--
+			e.Post(now+sim.Tick(100+10*(actor>>12)), actor, 0)
+		}
+	})
 }
 
 // planLookup measures the per-call plan-table dispatch: one bucket index
@@ -483,6 +507,7 @@ func realMain() int {
 	run("engine_barrier", engineBarrier, rep.Benchmarks)
 	run("engine_mixed", engineMixed, rep.Benchmarks)
 	run("event_post_pop", eventPostPop, rep.Benchmarks)
+	run("event_lockstep", eventLockstep, rep.Benchmarks)
 	run("program_event", programEngine(sim.EngineEvent), rep.Benchmarks)
 	run("program_coroutine", programEngine(sim.EngineCoroutine), rep.Benchmarks)
 	run("residency_insert", residencyInsert, rep.Benchmarks)
@@ -521,7 +546,7 @@ func realMain() int {
 	fmt.Println(string(out))
 
 	if *compare != "" {
-		if err := compareBaseline(*compare, *tolerance, rep); err != nil {
+		if err := compareBaseline(os.Stderr, *compare, *tolerance, rep); err != nil {
 			fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
 			return 1
 		}
@@ -531,12 +556,13 @@ func realMain() int {
 }
 
 // compareBaseline diffs the fresh measurements against a checked-in
-// baseline JSON and reports an error when any shared micro-benchmark (or
-// the fig11a wall clock, when both runs measured it) regressed by more than
-// the tolerance fraction. Benchmarks present on only one side are reported
-// but do not fail the comparison, so the baseline file and the benchmark
-// set can evolve independently.
-func compareBaseline(path string, tolerance float64, fresh report) error {
+// baseline JSON, writing one line per benchmark to w in name order, and
+// reports an error when any shared micro-benchmark (or the fig11a wall
+// clock, when both runs measured it) regressed by more than the tolerance
+// fraction. Benchmarks present on only one side, or with no baseline
+// ns/op, are reported but do not fail the comparison, so the baseline file
+// and the benchmark set can evolve independently.
+func compareBaseline(w io.Writer, path string, tolerance float64, fresh report) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -545,15 +571,30 @@ func compareBaseline(path string, tolerance float64, fresh report) error {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("%s: %v", path, err)
 	}
+	names := slices.Collect(maps.Keys(base.Benchmarks))
+	for name := range fresh.Benchmarks {
+		if _, ok := base.Benchmarks[name]; !ok {
+			names = append(names, name)
+		}
+	}
+	slices.Sort(names)
 	var regressions []string
-	for name, b := range base.Benchmarks {
-		f, ok := fresh.Benchmarks[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "compare: %s only in baseline, skipped\n", name)
+	for _, name := range names {
+		b, inBase := base.Benchmarks[name]
+		f, inFresh := fresh.Benchmarks[name]
+		switch {
+		case !inFresh:
+			fmt.Fprintf(w, "compare: %s only in baseline, skipped\n", name)
+			continue
+		case !inBase:
+			fmt.Fprintf(w, "compare: %s only in this run, no baseline\n", name)
+			continue
+		case b.NsPerOp <= 0:
+			fmt.Fprintf(w, "compare: %s has no baseline ns/op, skipped\n", name)
 			continue
 		}
 		ratio := f.NsPerOp/b.NsPerOp - 1
-		fmt.Fprintf(os.Stderr, "compare: %-24s %10.1f -> %10.1f ns/op (%+.1f%%)\n",
+		fmt.Fprintf(w, "compare: %-24s %10.1f -> %10.1f ns/op (%+.1f%%)\n",
 			name, b.NsPerOp, f.NsPerOp, ratio*100)
 		if ratio > tolerance {
 			regressions = append(regressions,
@@ -562,7 +603,7 @@ func compareBaseline(path string, tolerance float64, fresh report) error {
 	}
 	if base.Fig11aQuickSeconds > 0 && fresh.Fig11aQuickSeconds > 0 {
 		ratio := fresh.Fig11aQuickSeconds/base.Fig11aQuickSeconds - 1
-		fmt.Fprintf(os.Stderr, "compare: %-24s %10.1f -> %10.1f s      (%+.1f%%)\n",
+		fmt.Fprintf(w, "compare: %-24s %10.1f -> %10.1f s      (%+.1f%%)\n",
 			"fig11a_quick", base.Fig11aQuickSeconds, fresh.Fig11aQuickSeconds, ratio*100)
 		if ratio > tolerance {
 			regressions = append(regressions,

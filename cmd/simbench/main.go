@@ -9,6 +9,9 @@
 //	go run ./cmd/simbench -skip-fig  # micro-benchmarks only
 //	go run ./cmd/simbench -skip-fig -compare BENCH_sim.json
 //	                                 # re-run and fail on >15% regression
+//	go run ./cmd/simbench -skip-fig -count 5
+//	                                 # run the micro set 5 times round-robin;
+//	                                 # report medians, minima and IQRs
 //	go run ./cmd/simbench -engine-compare
 //	                                 # run the full engine parity matrix and
 //	                                 # fail on any makespan divergence
@@ -39,11 +42,16 @@ import (
 	"yhccl/internal/tune"
 )
 
+// result is one benchmark's measurement. With several samples (-count k)
+// NsPerOp is their median and MinNsPerOp/IQRNsPerOp describe the spread;
+// both are omitted for a single sample.
 type result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	OpsPerSec   float64 `json:"ops_per_sec"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	MinNsPerOp  float64 `json:"min_ns_per_op,omitempty"`
+	IQRNsPerOp  float64 `json:"iqr_ns_per_op,omitempty"`
 }
 
 type report struct {
@@ -58,16 +66,70 @@ type report struct {
 	Fig11aQuickSeconds float64           `json:"fig11a_quick_wall_seconds,omitempty"`
 }
 
-func run(name string, f func(b *testing.B), out map[string]result) {
+// run measures one benchmark sample and logs it.
+func run(name string, f func(b *testing.B)) testing.BenchmarkResult {
 	r := testing.Benchmark(f)
-	ns := float64(r.T.Nanoseconds()) / float64(r.N)
-	out[name] = result{
-		NsPerOp:     ns,
-		OpsPerSec:   1e9 / ns,
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		AllocsPerOp: r.AllocsPerOp(),
-	}
+	ns := nsPerOp(r)
 	fmt.Fprintf(os.Stderr, "%-24s %10.1f ns/op %14.0f ops/sec\n", name, ns, 1e9/ns)
+	return r
+}
+
+func nsPerOp(r testing.BenchmarkResult) float64 {
+	return float64(r.T.Nanoseconds()) / float64(r.N)
+}
+
+// summarize folds one benchmark's samples into its result: the median of
+// each figure, plus the minimum and interquartile range of ns/op when there
+// is more than one sample.
+func summarize(samples []testing.BenchmarkResult) result {
+	ns := make([]float64, len(samples))
+	bytes := make([]float64, len(samples))
+	allocs := make([]float64, len(samples))
+	for i, r := range samples {
+		ns[i] = nsPerOp(r)
+		bytes[i] = float64(r.AllocedBytesPerOp())
+		allocs[i] = float64(r.AllocsPerOp())
+	}
+	q1, med, q3 := quartiles(ns)
+	res := result{
+		NsPerOp:     med,
+		OpsPerSec:   1e9 / med,
+		BytesPerOp:  int64(median(bytes)),
+		AllocsPerOp: int64(median(allocs)),
+	}
+	if len(samples) > 1 {
+		res.MinNsPerOp = slices.Min(ns)
+		res.IQRNsPerOp = q3 - q1
+	}
+	return res
+}
+
+// quartiles returns the first quartile, median and third quartile of xs by
+// the "exclusive" method of Python's statistics.quantiles(n=4), the method
+// perfbench reports its spreads with. A single value is its own quartiles.
+func quartiles(xs []float64) (q1, med, q3 float64) {
+	d := slices.Sorted(slices.Values(xs))
+	if len(d) == 1 {
+		return d[0], d[0], d[0]
+	}
+	q := func(i int) float64 {
+		m := len(d) + 1
+		j := min(max(i*m/4, 1), len(d)-1)
+		delta := i*m - j*4
+		return (d[j-1]*float64(4-delta) + d[j]*float64(delta)) / 4
+	}
+	return q(1), median(d), q(3)
+}
+
+// median returns the middle value of xs (the mean of the two middle values
+// for an even count).
+func median(xs []float64) float64 {
+	d := slices.Sorted(slices.Values(xs))
+	n := len(d)
+	if n%2 == 1 {
+		return d[n/2]
+	}
+	return (d[n/2-1] + d[n/2]) / 2
 }
 
 func engineYield(b *testing.B) {
@@ -438,7 +500,8 @@ func realMain() int {
 	var (
 		skipFig   = flag.Bool("skip-fig", false, "skip the fig11a quick wall-clock run")
 		compare   = flag.String("compare", "", "baseline JSON to diff against; exit non-zero on regression")
-		tolerance = flag.Float64("tolerance", 0.15, "allowed fractional ns/op regression for -compare")
+		tolerance = flag.Float64("tolerance", 0.15, "allowed fractional ns/op regression for -compare (widened to 3 IQR/median where the baseline records an IQR)")
+		count     = flag.Int("count", 1, "run the micro-benchmark set this many times round-robin and report per-benchmark medians, minima and IQRs")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		engine    = flag.String("engine", "event", "engine recorded as the report's mode: coroutine or event")
@@ -449,6 +512,10 @@ func realMain() int {
 	engineKind, err := sim.ParseEngine(*engine)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simbench:", err)
+		return 1
+	}
+	if *count < 1 {
+		fmt.Fprintln(os.Stderr, "simbench: -count must be at least 1")
 		return 1
 	}
 
@@ -501,23 +568,39 @@ func realMain() int {
 		EngineMode: engineKind.String(),
 		Benchmarks: map[string]result{},
 	}
-	run("engine_yield", engineYield, rep.Benchmarks)
-	run("engine_yield_fast", engineYieldFast, rep.Benchmarks)
-	run("engine_flag_wait", engineFlagWait, rep.Benchmarks)
-	run("engine_barrier", engineBarrier, rep.Benchmarks)
-	run("engine_mixed", engineMixed, rep.Benchmarks)
-	run("event_post_pop", eventPostPop, rep.Benchmarks)
-	run("event_lockstep", eventLockstep, rep.Benchmarks)
-	run("program_event", programEngine(sim.EngineEvent), rep.Benchmarks)
-	run("program_coroutine", programEngine(sim.EngineCoroutine), rep.Benchmarks)
-	run("residency_insert", residencyInsert, rep.Benchmarks)
-	run("residency_lookup", residencyLookup, rep.Benchmarks)
-	run("plan_lookup", planLookup, rep.Benchmarks)
-	run("plan_synthesize", planSynthesize(&rep.PlanCacheEntries), rep.Benchmarks)
-	run("serve_admission", serveAdmission, rep.Benchmarks)
-	run("serve_mixed_load", serveMixedLoad, rep.Benchmarks)
-	run("cluster_fault_overhead", clusterFaultOverhead, rep.Benchmarks)
-	run("cluster_recompile", clusterRecompile, rep.Benchmarks)
+	micro := []struct {
+		name string
+		f    func(b *testing.B)
+	}{
+		{"engine_yield", engineYield},
+		{"engine_yield_fast", engineYieldFast},
+		{"engine_flag_wait", engineFlagWait},
+		{"engine_barrier", engineBarrier},
+		{"engine_mixed", engineMixed},
+		{"event_post_pop", eventPostPop},
+		{"event_lockstep", eventLockstep},
+		{"program_event", programEngine(sim.EngineEvent)},
+		{"program_coroutine", programEngine(sim.EngineCoroutine)},
+		{"residency_insert", residencyInsert},
+		{"residency_lookup", residencyLookup},
+		{"plan_lookup", planLookup},
+		{"plan_synthesize", planSynthesize(&rep.PlanCacheEntries)},
+		{"serve_admission", serveAdmission},
+		{"serve_mixed_load", serveMixedLoad},
+		{"cluster_fault_overhead", clusterFaultOverhead},
+		{"cluster_recompile", clusterRecompile},
+	}
+	// Round-robin, so host drift during the run reaches every benchmark
+	// alike instead of landing on whichever ran last.
+	samples := make([][]testing.BenchmarkResult, len(micro))
+	for range *count {
+		for i, m := range micro {
+			samples[i] = append(samples[i], run(m.name, m.f))
+		}
+	}
+	for i, m := range micro {
+		rep.Benchmarks[m.name] = summarize(samples[i])
+	}
 
 	fmt.Fprintf(os.Stderr, "running engine parity matrix...\n")
 	nParity, err := engineCompare(false)
@@ -555,13 +638,24 @@ func realMain() int {
 	return 0
 }
 
+// regressionLimit is the fractional ns/op slowdown beyond which a benchmark
+// counts as regressed: the tolerance, widened to 3 IQR/median when the
+// baseline recorded a spread, so a benchmark that is noisy on the baseline
+// host does not fail on noise alone.
+func regressionLimit(base result, tolerance float64) float64 {
+	if base.IQRNsPerOp > 0 && base.NsPerOp > 0 {
+		return max(tolerance, 3*base.IQRNsPerOp/base.NsPerOp)
+	}
+	return tolerance
+}
+
 // compareBaseline diffs the fresh measurements against a checked-in
 // baseline JSON, writing one line per benchmark to w in name order, and
-// reports an error when any shared micro-benchmark (or the fig11a wall
-// clock, when both runs measured it) regressed by more than the tolerance
-// fraction. Benchmarks present on only one side, or with no baseline
-// ns/op, are reported but do not fail the comparison, so the baseline file
-// and the benchmark set can evolve independently.
+// reports an error when any shared micro-benchmark regressed beyond its
+// regressionLimit (or the fig11a wall clock, when both runs measured it,
+// beyond the tolerance). Benchmarks present on only one side, or with no
+// baseline ns/op, are reported but do not fail the comparison, so the
+// baseline file and the benchmark set can evolve independently.
 func compareBaseline(w io.Writer, path string, tolerance float64, fresh report) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -594,9 +688,14 @@ func compareBaseline(w io.Writer, path string, tolerance float64, fresh report) 
 			continue
 		}
 		ratio := f.NsPerOp/b.NsPerOp - 1
-		fmt.Fprintf(w, "compare: %-24s %10.1f -> %10.1f ns/op (%+.1f%%)\n",
-			name, b.NsPerOp, f.NsPerOp, ratio*100)
-		if ratio > tolerance {
+		limit := regressionLimit(b, tolerance)
+		widened := ""
+		if limit > tolerance {
+			widened = fmt.Sprintf(" limit %.1f%% from the baseline IQR", limit*100)
+		}
+		fmt.Fprintf(w, "compare: %-24s %10.1f -> %10.1f ns/op (%+.1f%%)%s\n",
+			name, b.NsPerOp, f.NsPerOp, ratio*100, widened)
+		if ratio > limit {
 			regressions = append(regressions,
 				fmt.Sprintf("%s %.1f%% slower", name, ratio*100))
 		}

@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // reportOf builds a report holding the given ns/op per benchmark.
@@ -106,5 +108,79 @@ func TestCompareBaselineZeroBaseline(t *testing.T) {
 	}
 	if strings.Contains(w.String(), "Inf") {
 		t.Fatalf("report divides by the zero baseline:\n%s", w.String())
+	}
+}
+
+// samplesOf builds one benchmark sample per ns/op value.
+func samplesOf(ns ...float64) []testing.BenchmarkResult {
+	out := make([]testing.BenchmarkResult, len(ns))
+	for i, v := range ns {
+		out[i] = testing.BenchmarkResult{N: 1, T: time.Duration(v), MemAllocs: uint64(i + 1), MemBytes: 100}
+	}
+	return out
+}
+
+// TestSummarizeMedianIQR pins the -count statistics: the median ns/op, the
+// minimum, and the IQR by the exclusive quartile method (for 10 20 30 40
+// 100 that is 15 and 70, as Python's statistics.quantiles gives).
+func TestSummarizeMedianIQR(t *testing.T) {
+	r := summarize(samplesOf(40, 10, 100, 30, 20))
+	if r.NsPerOp != 30 || r.MinNsPerOp != 10 || r.IQRNsPerOp != 55 {
+		t.Fatalf("median/min/iqr = %v/%v/%v, want 30/10/55", r.NsPerOp, r.MinNsPerOp, r.IQRNsPerOp)
+	}
+	if r.AllocsPerOp != 3 || r.BytesPerOp != 100 {
+		t.Fatalf("allocs/bytes = %d/%d, want the medians 3/100", r.AllocsPerOp, r.BytesPerOp)
+	}
+	if even := summarize(samplesOf(10, 20, 30, 40)); even.NsPerOp != 25 || even.IQRNsPerOp != 25 {
+		t.Fatalf("even count: median %v iqr %v, want 25 and 25", even.NsPerOp, even.IQRNsPerOp)
+	}
+}
+
+// TestSummarizeSingleSampleOmitsSpread: -count 1 keeps the report as it
+// was, with no min or IQR fields.
+func TestSummarizeSingleSampleOmitsSpread(t *testing.T) {
+	r := summarize(samplesOf(250))
+	if r.NsPerOp != 250 || r.OpsPerSec != 4e6 {
+		t.Fatalf("single sample summarized as %+v", r)
+	}
+	raw, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), "min_ns_per_op") || strings.Contains(string(raw), "iqr_ns_per_op") {
+		t.Fatalf("single-sample result carries spread fields: %s", raw)
+	}
+}
+
+// TestRegressionLimitFromIQR pins the threshold: max(tolerance, 3 IQR /
+// median) when the baseline has an IQR, the tolerance otherwise.
+func TestRegressionLimitFromIQR(t *testing.T) {
+	for _, tc := range []struct {
+		base result
+		want float64
+	}{
+		{result{NsPerOp: 100}, 0.15},
+		{result{NsPerOp: 100, IQRNsPerOp: 2}, 0.15},
+		{result{NsPerOp: 100, IQRNsPerOp: 10}, 0.30},
+	} {
+		if got := regressionLimit(tc.base, 0.15); math.Abs(got-tc.want) > 1e-12 {
+			t.Fatalf("limit for %+v = %v, want %v", tc.base, got, tc.want)
+		}
+	}
+	base := report{Benchmarks: map[string]result{
+		"noisy": {NsPerOp: 100, IQRNsPerOp: 10},
+		"tight": {NsPerOp: 100},
+	}}
+	path := writeBaseline(t, base)
+	var w bytes.Buffer
+	if err := compareBaseline(&w, path, 0.15, reportOf(map[string]float64{"noisy": 125, "tight": 110})); err != nil {
+		t.Fatalf("25%% on a 30%% limit failed the comparison: %v\n%s", err, w.String())
+	}
+	if !strings.Contains(w.String(), "limit 30.0% from the baseline IQR") {
+		t.Fatalf("widened limit not reported:\n%s", w.String())
+	}
+	err := compareBaseline(&w, path, 0.15, reportOf(map[string]float64{"noisy": 135, "tight": 120}))
+	if err == nil || !strings.Contains(err.Error(), "noisy 35.0% slower") || !strings.Contains(err.Error(), "tight 20.0% slower") {
+		t.Fatalf("regressions beyond both limits not flagged: %v", err)
 	}
 }

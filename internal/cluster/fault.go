@@ -1,20 +1,19 @@
 // Fault arming for compiled cluster schedules. A fault.ClusterPlan is
 // lowered onto a compiled program as pure arithmetic: node straggler
-// dilation and link-degrade repricing become a Duration wrapper (the
-// dependency structure is untouched, so the armed run stays a valid
-// execution of the same schedule), node crashes become per-rank poison
-// ticks consumed by the armed event interpreter, and phase corruptions
-// become completion hooks that fire at the exact tick the victim node's
-// phase step completes. With an empty plan the wrapper is bypassed entirely
-// and the run is bit-identical to the healthy path — the 183-case parity
-// matrix never sees any of this machinery.
+// dilation and link-degrade repricing become a Step wrapper that reprices
+// durations (the dependency structure is untouched, so the armed run stays
+// a valid execution of the same schedule), node crashes become per-rank
+// poison ticks consumed by the armed event interpreter, and phase
+// corruptions become completion hooks that fire at the exact tick the
+// victim node's phase step completes. With an empty plan the wrapper is
+// bypassed entirely and the run is bit-identical to the healthy path — the
+// 183-case parity matrix never sees any of this machinery.
 package cluster
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 
 	"yhccl/internal/fault"
@@ -27,16 +26,12 @@ type nodePhased interface {
 	sim.Program
 	// Shape returns the node decomposition of the program's rank space.
 	Shape() fault.ClusterShape
-	// PhaseOf buckets a step into the canonical composition phases:
-	// 0 = intra phase A, 1 = inter-node, 2 = intra phase C.
-	PhaseOf(rank, step int) int
-	// InterTicks returns the portion of the step's duration carried on an
-	// inter-node lane (0 for pure intra steps) — the part a degraded link
-	// reprices.
-	InterTicks(rank, step int) sim.Tick
-	// InterSrcNode returns the node on the far end of the lane an
-	// inter-node step uses (-1 for intra steps).
-	InterSrcNode(rank, step int) int
+	// StepPhase places one existing step in the composition: its canonical
+	// phase (0 = intra phase A, 1 = inter-node, 2 = intra phase C), the
+	// ticks of its duration carried on an inter-node lane (0 for pure intra
+	// steps; the part a degraded link reprices), and the node at the far
+	// end of that lane (-1 for intra steps).
+	StepPhase(rank, step int) (phase int, laneTicks sim.Tick, farNode int)
 }
 
 // --- nodePhased implementations for the compiled program kinds ---
@@ -45,113 +40,40 @@ func (cp *clusterProgram) Shape() fault.ClusterShape {
 	return fault.ClusterShape{Nodes: cp.nodes, PerNode: cp.perNode}
 }
 
-func (cp *clusterProgram) PhaseOf(rank, step int) int {
+func (cp *clusterProgram) StepPhase(rank, step int) (int, sim.Tick, int) {
 	node, local := rank/cp.perNode, rank%cp.perNode
-	la := cp.lenA(node, local)
-	if step < la {
-		return 0
+	g := step - cp.aLen(node, local)
+	switch {
+	case g < 0:
+		return 0, 0, -1
+	case g < cp.bLen(node, local):
+		_, lane, far := cp.interStep(node, local, g, nil)
+		return 1, lane, far
 	}
-	if step < la+cp.lenB(node, local) {
-		return 1
-	}
-	return 2
-}
-
-func (cp *clusterProgram) InterTicks(rank, step int) sim.Tick {
-	node, local := rank/cp.perNode, rank%cp.perNode
-	la := cp.lenA(node, local)
-	if step < la || step >= la+cp.lenB(node, local) {
-		return 0
-	}
-	g := step - la
-	switch cp.inter.kind {
-	case interRingAll, interRingLeader:
-		return sim.Tick(cp.inter.hopsIn(g)) * cp.inter.hopDur
-	default:
-		// Tree-shaped phases pay one wire hop per step; reduceDur/extraDur
-		// are node-local compute.
-		return cp.inter.hopDur
-	}
-}
-
-func (cp *clusterProgram) InterSrcNode(rank, step int) int {
-	node, local := rank/cp.perNode, rank%cp.perNode
-	la := cp.lenA(node, local)
-	if step < la || step >= la+cp.lenB(node, local) {
-		return -1
-	}
-	g := step - la
-	switch cp.inter.kind {
-	case interRingAll, interRingLeader:
-		return (node - 1 + cp.nodes) % cp.nodes
-	case interTreeLeader:
-		if g < cp.recvCount(node) {
-			return node + cp.recvRound(node, g)
-		}
-		return node - 1<<(bits.Len(uint(node))-1)
-	case interTreeBcastLeader, interLaneTree:
-		return node - 1<<(bits.Len(uint(node))-1)
-	}
-	return -1
+	return 2, 0, -1
 }
 
 func (fp *flatRingProgram) Shape() fault.ClusterShape {
 	return fault.ClusterShape{Nodes: fp.ranks / fp.perNode, PerNode: fp.perNode}
 }
 
-func (fp *flatRingProgram) interStep(rank int) bool {
-	return rank%fp.perNode == 0 && fp.ranks > fp.perNode
-}
-
-func (fp *flatRingProgram) PhaseOf(rank, _ int) int {
-	if fp.interStep(rank) {
-		return 1
-	}
-	return 0
-}
-
-func (fp *flatRingProgram) InterTicks(rank, step int) sim.Tick {
+func (fp *flatRingProgram) StepPhase(rank, step int) (int, sim.Tick, int) {
 	if !fp.interStep(rank) {
-		return 0
+		return 0, 0, -1
 	}
 	lo, hi := fp.hopRange(step)
-	return sim.Tick(hi-lo) * fp.interExtra
-}
-
-func (fp *flatRingProgram) InterSrcNode(rank, _ int) int {
-	if !fp.interStep(rank) {
-		return -1
-	}
-	return ((rank - 1 + fp.ranks) % fp.ranks) / fp.perNode
+	return 1, sim.Tick(hi-lo) * fp.interExtra, ((rank - 1 + fp.ranks) % fp.ranks) / fp.perNode
 }
 
 func (ft *flatTreeProgram) Shape() fault.ClusterShape {
 	return fault.ClusterShape{Nodes: ft.ranks / ft.perNode, PerNode: ft.perNode}
 }
 
-func (ft *flatTreeProgram) crossNode(rank int) bool {
-	return ft.src(rank)/ft.perNode != rank/ft.perNode
-}
-
-func (ft *flatTreeProgram) PhaseOf(rank, _ int) int {
-	if ft.crossNode(rank) {
-		return 1
+func (ft *flatTreeProgram) StepPhase(rank, _ int) (int, sim.Tick, int) {
+	if !ft.crossNode(rank) {
+		return 0, 0, -1
 	}
-	return 0
-}
-
-func (ft *flatTreeProgram) InterTicks(rank, _ int) sim.Tick {
-	if ft.crossNode(rank) {
-		return ft.interDur
-	}
-	return 0
-}
-
-func (ft *flatTreeProgram) InterSrcNode(rank, _ int) int {
-	if ft.crossNode(rank) {
-		return ft.src(rank) / ft.perNode
-	}
-	return -1
+	return 1, ft.interDur, ft.src(rank) / ft.perNode
 }
 
 // armedProgram reprices a compiled program under a cluster plan: link
@@ -167,23 +89,26 @@ type armedProgram struct {
 	dilate []float64
 }
 
-func (ap *armedProgram) Duration(rank, step int) sim.Tick {
-	d := ap.nodePhased.Duration(rank, step)
+func (ap *armedProgram) Step(rank, step int, visit func(depRank, depStep int) bool) (sim.Tick, bool) {
+	d, ok := ap.nodePhased.Step(rank, step, visit)
+	if !ok {
+		return 0, false
+	}
 	node := rank / ap.perNode
-	if it := ap.nodePhased.InterTicks(rank, step); it > 0 {
+	if _, lane, far := ap.nodePhased.StepPhase(rank, step); lane > 0 {
 		f := ap.linkFactor[node]
-		if src := ap.nodePhased.InterSrcNode(rank, step); src >= 0 && ap.linkFactor[src] > f {
-			f = ap.linkFactor[src]
+		if far >= 0 && ap.linkFactor[far] > f {
+			f = ap.linkFactor[far]
 		}
 		if f > 1 {
 			// Ceil so a degraded lane is never free, even on tiny hops.
-			d += sim.Tick(math.Ceil(float64(it) * (f - 1)))
+			d += sim.Tick(math.Ceil(float64(lane) * (f - 1)))
 		}
 	}
 	if dil := ap.dilate[node]; dil > 1 {
 		d = sim.Tick(math.Ceil(float64(d) * dil))
 	}
-	return d
+	return d, true
 }
 
 // ClusterRunError is the deterministic diagnosis of a faulty cluster run:
@@ -258,32 +183,38 @@ type ArmedRun struct {
 // marks the victim node's contribution to the target phase: the last step in
 // that phase of the node's lowest-numbered rank that has one. If the node
 // runs no step in the requested phase the other phases are tried in a fixed
-// order, so a corruption armed on a real node always fires somewhere.
-func corruptTargets(np nodePhased, plan *fault.ClusterPlan) map[[2]int32]fault.PhaseCorrupt {
-	if len(plan.Corruptions) == 0 {
-		return nil
+// order, so a corruption armed on a node that runs any step always fires
+// somewhere. A corruption on a node that runs no step of the program could
+// never fire; it is rejected with an error wrapping fault.ErrPlanRange.
+func corruptTargets(np nodePhased, plan *fault.ClusterPlan) (map[[2]int32]fault.PhaseCorrupt, error) {
+	if plan == nil || len(plan.Corruptions) == 0 {
+		return nil, nil
 	}
 	shape := np.Shape()
 	out := make(map[[2]int32]fault.PhaseCorrupt, len(plan.Corruptions))
 	for _, c := range plan.Corruptions {
 		found := false
 		for _, ph := range [...]int{c.Phase, 1, 0, 2} {
-			if found {
-				break
-			}
 			for local := 0; local < shape.PerNode && !found; local++ {
 				rank := c.Node*shape.PerNode + local
-				for step := np.Steps(rank) - 1; step >= 0; step-- {
-					if np.PhaseOf(rank, step) == ph {
+				for step := stepCount(np, rank) - 1; step >= 0; step-- {
+					if phase, _, _ := np.StepPhase(rank, step); phase == ph {
 						out[[2]int32{int32(rank), int32(step)}] = c
 						found = true
 						break
 					}
 				}
 			}
+			if found {
+				break
+			}
+		}
+		if !found {
+			return nil, fmt.Errorf("%w: phase-corrupt node %d runs no step of the program, so it can never fire",
+				fault.ErrPlanRange, c.Node)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // RunArmed executes a compiled program on the event engine under a cluster
@@ -304,6 +235,10 @@ func RunArmed(prog sim.Program, plan *fault.ClusterPlan, horizon sim.Tick) (Arme
 	}
 	shape := np.Shape()
 	if err := plan.Validate(shape); err != nil {
+		return run, err
+	}
+	targets, err := corruptTargets(np, plan)
+	if err != nil {
 		return run, err
 	}
 	inj := fault.NewClusterInjector(plan)
@@ -350,7 +285,7 @@ func RunArmed(prog sim.Program, plan *fault.ClusterPlan, horizon sim.Tick) (Arme
 				}
 			}
 		}
-		if targets := corruptTargets(np, plan); targets != nil {
+		if targets != nil {
 			faults.OnComplete = func(rank, step int32, now sim.Tick) {
 				if c, ok := targets[[2]int32{rank, step}]; ok {
 					inj.LogCorrupt(c.Node, c.Phase, int64(now))
@@ -365,7 +300,6 @@ func RunArmed(prog sim.Program, plan *fault.ClusterPlan, horizon sim.Tick) (Arme
 	}
 
 	var res sim.ProgramResult
-	var err error
 	if faults == nil {
 		res, err = sim.RunProgramEvent(exec)
 	} else {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"yhccl/internal/fault"
@@ -210,5 +211,53 @@ func TestRunArmedValidatesPlan(t *testing.T) {
 		Crashes: []fault.NodeCrash{{Node: 1, AtTick: 0}}}
 	if _, err := RunArmed(prog, wrongShape, 0); err == nil {
 		t.Fatal("wrong-shape plan accepted")
+	}
+}
+
+// A corruption on a node that runs no step of the program can never fire:
+// RunArmed rejects it before running, with an error that wraps
+// fault.ErrPlanRange and names the node, instead of completing clean.
+func TestCorruptionOnIdleNodeRejected(t *testing.T) {
+	type shape struct {
+		nodes, perNode int
+		coll           string
+		alg            Algorithm
+	}
+	var shapes []shape
+	// The root node of a bcast on N x 1 only sends.
+	for _, alg := range Algorithms() {
+		shapes = append(shapes, shape{4, 1, CollBcast, alg})
+	}
+	// A lone rank runs nothing at all.
+	for _, alg := range Algorithms() {
+		for _, coll := range []string{CollAllreduce, CollBcast, CollAllgather} {
+			shapes = append(shapes, shape{1, 1, coll, alg})
+		}
+	}
+	for _, sh := range shapes {
+		name := fmt.Sprintf("%s/%s/%dx%d", sh.coll, sh.alg, sh.nodes, sh.perNode)
+		prog := compileT(t, testCluster(t, sh.nodes, sh.perNode), sh.coll, sh.alg, 1<<12)
+		for phase := 0; phase < fault.ClusterPhases; phase++ {
+			plan := &fault.ClusterPlan{Name: "idle",
+				Corruptions: []fault.PhaseCorrupt{{Node: 0, Phase: phase}}}
+			run, err := RunArmed(prog, plan, 0)
+			if !errors.Is(err, fault.ErrPlanRange) {
+				t.Fatalf("%s phase %d: error %v does not wrap fault.ErrPlanRange", name, phase, err)
+			}
+			if !strings.Contains(err.Error(), "node 0") {
+				t.Fatalf("%s phase %d: error %q does not name the node", name, phase, err)
+			}
+			if len(run.Events) != 0 || run.CorruptNode != -1 {
+				t.Fatalf("%s phase %d: rejected plan still ran: %+v", name, phase, run)
+			}
+		}
+		if sh.nodes > 1 {
+			// Every other node receives, so a corruption there fires.
+			plan := &fault.ClusterPlan{Name: "recv",
+				Corruptions: []fault.PhaseCorrupt{{Node: 1, Phase: 1}}}
+			if run, err := RunArmed(prog, plan, 0); err == nil || run.CorruptNode != 1 {
+				t.Fatalf("%s: corruption on receiving node 1 did not fire: %+v, %v", name, run, err)
+			}
+		}
 	}
 }

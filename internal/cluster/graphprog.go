@@ -37,18 +37,21 @@ type graphProgram struct {
 	steps [][]graphStep
 }
 
-func (gp *graphProgram) Ranks() int          { return gp.ranks }
-func (gp *graphProgram) Steps(rank int) int  { return len(gp.steps[rank]) }
-func (gp *graphProgram) Duration(rank, step int) sim.Tick {
-	return gp.steps[rank][step].dur
-}
+func (gp *graphProgram) Ranks() int { return gp.ranks }
 
-func (gp *graphProgram) Deps(rank, step int, visit func(depRank, depStep int) bool) {
-	for _, d := range gp.steps[rank][step].deps {
+// Step keeps a dependency list per step: a reduce reads two operands, so a
+// graph step can wait on two producers.
+func (gp *graphProgram) Step(rank, step int, visit func(depRank, depStep int) bool) (sim.Tick, bool) {
+	if step >= len(gp.steps[rank]) {
+		return 0, false
+	}
+	st := &gp.steps[rank][step]
+	for _, d := range st.deps {
 		if !visit(d.rank, d.step) {
-			return
+			break
 		}
 	}
+	return st.dur, true
 }
 
 // CompileGraph lowers a synthesized plan graph over n elements per block

@@ -138,6 +138,15 @@ func ParityCases() []ParityCase {
 	return cases
 }
 
+// compile builds the case's program: through CompileGraph when Graph is
+// set, else through the algorithm compiler.
+func (pc ParityCase) compile() (sim.Program, error) {
+	if pc.Graph != nil {
+		return pc.Clust.CompileGraph(pc.Graph, pc.Elems, pc.Opts)
+	}
+	return pc.Clust.Compile(pc.Coll, pc.Alg, pc.Elems, pc.Opts)
+}
+
 // ParityResult records one verified config.
 type ParityResult struct {
 	Name     string
@@ -152,13 +161,7 @@ type ParityResult struct {
 func VerifyParity(cases []ParityCase) ([]ParityResult, error) {
 	results := make([]ParityResult, 0, len(cases))
 	for _, pc := range cases {
-		var prog sim.Program
-		var err error
-		if pc.Graph != nil {
-			prog, err = pc.Clust.CompileGraph(pc.Graph, pc.Elems, pc.Opts)
-		} else {
-			prog, err = pc.Clust.Compile(pc.Coll, pc.Alg, pc.Elems, pc.Opts)
-		}
+		prog, err := pc.compile()
 		if err != nil {
 			return nil, fmt.Errorf("parity %s: compile: %w", pc.Name, err)
 		}

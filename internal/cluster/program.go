@@ -18,11 +18,14 @@ import (
 // with inter-node ring and binomial-tree phases — into a sim.Program: every
 // one of the Nodes x PerNode ranks becomes a compact state machine whose
 // steps carry precomputed integer-tick durations and O(1) dependencies
-// computed procedurally from (rank, step). Nothing proportional to
-// ranks x steps is materialized (the intra-node templates are shared by all
-// nodes), so 262144+ rank worlds run on the event engine in flat memory,
-// while the identical program replayed on the coroutine engine is the
-// tick-exact parity reference.
+// computed procedurally from (rank, step). One Step call resolves the
+// step's node, local rank and phase once, from per-local phase-length
+// tables filled at compile time, then reads the duration and the (at most
+// one) dependency of a template step, or computes them for an inter-node
+// step. Nothing proportional to ranks x steps is materialized (the
+// intra-node templates are shared by all nodes), so 262144+ rank worlds run
+// on the event engine in flat memory, while the identical program replayed
+// on the coroutine engine is the tick-exact parity reference.
 
 // IntraKind selects the intra-node step schedule a hierarchical program
 // composes from.
@@ -134,18 +137,22 @@ func (c progCosts) laneT(bytes float64, lanes int) sim.Tick {
 	return sim.ToTicks(c.net.Latency + bytes*float64(lanes)/c.net.EffectiveBandwidth(lanes))
 }
 
-// tmplDep is one dependency inside an intra-node template: the target local
-// rank and its phase-relative step. Step -1 means "that rank's last step of
-// the previous phase" and resolves per-node at query time.
+// tmplDep is the dependency of one intra-node template step: the target
+// local rank and its phase-relative step. Step -1 means "that rank's last
+// step of the previous phase" and resolves per-node at query time.
 type tmplDep struct {
 	local int32
 	step  int32
 }
 
-// tmplStep is one templated step: a duration and its dependencies.
+// noDep marks a template step without a dependency.
+var noDep = tmplDep{local: -1}
+
+// tmplStep is one templated step: a duration and its dependency, stored
+// inline (every intra template step has at most one; noDep when none).
 type tmplStep struct {
-	dur  sim.Tick
-	deps []tmplDep
+	dur sim.Tick
+	dep tmplDep
 }
 
 // intraTemplate is one intra-node phase: per local rank, an ordered step
@@ -155,11 +162,16 @@ type intraTemplate struct {
 	steps [][]tmplStep
 }
 
-func (t *intraTemplate) len(local int) int {
-	if t == nil {
-		return 0
+// lens returns the per-local step counts of a template over p locals (all
+// zero for a nil template).
+func (t *intraTemplate) lens(p int) []int32 {
+	n := make([]int32, p)
+	if t != nil {
+		for l := range n {
+			n[l] = int32(len(t.steps[l]))
+		}
 	}
-	return len(t.steps[local])
+	return n
 }
 
 // localSockets groups locals 0..p-1 by the socket their block-bound core
@@ -202,11 +214,11 @@ func maReduceScatter(node *topo.Node, p int, blockBytes float64, c progCosts) *i
 		next := (l + 1) % p
 		cross := crossSocket(node, l, next)
 		steps := make([]tmplStep, p)
-		steps[0] = tmplStep{dur: c.copyT(blockBytes, false)}
+		steps[0] = tmplStep{dur: c.copyT(blockBytes, false), dep: noDep}
 		for j := 1; j < p; j++ {
 			steps[j] = tmplStep{
-				dur:  c.reduceT(blockBytes, cross),
-				deps: []tmplDep{{local: int32(next), step: int32(j - 1)}},
+				dur: c.reduceT(blockBytes, cross),
+				dep: tmplDep{local: int32(next), step: int32(j - 1)},
 			}
 		}
 		t.steps[l] = steps
@@ -226,8 +238,8 @@ func maAllgather(node *topo.Node, p int, blockBytes float64, c progCosts) *intra
 		for k := 0; k < p-1; k++ {
 			src := (l + k + 1) % p
 			steps[k] = tmplStep{
-				dur:  c.copyT(blockBytes, crossSocket(node, l, src)),
-				deps: []tmplDep{{local: int32(src), step: -1}},
+				dur: c.copyT(blockBytes, crossSocket(node, l, src)),
+				dep: tmplDep{local: int32(src), step: -1},
 			}
 		}
 		t.steps[l] = steps
@@ -245,11 +257,11 @@ func socketReduceScatter(node *topo.Node, p, perSocket, sockets int, blockBytes 
 		next := sock*perSocket + (ls+1)%perSocket
 		steps := make([]tmplStep, 0, perSocket+sockets-1)
 		if perSocket > 1 {
-			steps = append(steps, tmplStep{dur: c.copyT(blockBytes, false)})
+			steps = append(steps, tmplStep{dur: c.copyT(blockBytes, false), dep: noDep})
 			for j := 1; j < perSocket; j++ {
 				steps = append(steps, tmplStep{
-					dur:  c.reduceT(blockBytes, false),
-					deps: []tmplDep{{local: int32(next), step: int32(j - 1)}},
+					dur: c.reduceT(blockBytes, false),
+					dep: tmplDep{local: int32(next), step: int32(j - 1)},
 				})
 			}
 		}
@@ -260,8 +272,8 @@ func socketReduceScatter(node *topo.Node, p, perSocket, sockets int, blockBytes 
 				peerLast = -1 // peer has no MA phase; its data is phase input
 			}
 			steps = append(steps, tmplStep{
-				dur:  c.reduceT(blockBytes, true),
-				deps: []tmplDep{{local: int32(peer), step: peerLast}},
+				dur: c.reduceT(blockBytes, true),
+				dep: tmplDep{local: int32(peer), step: peerLast},
 			})
 		}
 		t.steps[l] = steps
@@ -282,8 +294,8 @@ func socketAllgather(node *topo.Node, p, perSocket int, blockBytes float64, c pr
 		for k := 0; k < perSocket-1; k++ {
 			src := sock*perSocket + (ls+k+1)%perSocket
 			steps[k] = tmplStep{
-				dur:  c.copyT(blockBytes, false),
-				deps: []tmplDep{{local: int32(src), step: -1}},
+				dur: c.copyT(blockBytes, false),
+				dep: tmplDep{local: int32(src), step: -1},
 			}
 		}
 		t.steps[l] = steps
@@ -327,7 +339,7 @@ func rgReduce(node *topo.Node, p, degree int, msgBytes float64, c progCosts) *in
 	t := &intraTemplate{steps: make([][]tmplStep, p)}
 	for l := 0; l < p; l++ {
 		if len(children[l]) == 0 {
-			t.steps[l] = []tmplStep{{dur: c.copyT(msgBytes, false)}}
+			t.steps[l] = []tmplStep{{dur: c.copyT(msgBytes, false), dep: noDep}}
 			continue
 		}
 		steps := make([]tmplStep, len(children[l]))
@@ -337,8 +349,8 @@ func rgReduce(node *topo.Node, p, degree int, msgBytes float64, c progCosts) *in
 				kidLast = 1
 			}
 			steps[i] = tmplStep{
-				dur:  c.reduceT(msgBytes, crossSocket(node, l, kid)),
-				deps: []tmplDep{{local: int32(kid), step: int32(kidLast - 1)}},
+				dur: c.reduceT(msgBytes, crossSocket(node, l, kid)),
+				dep: tmplDep{local: int32(kid), step: int32(kidLast - 1)},
 			}
 		}
 		t.steps[l] = steps
@@ -364,8 +376,8 @@ func binomialBcast(node *topo.Node, p int, msgBytes float64, c progCosts) *intra
 			dep.step = -1
 		}
 		t.steps[l] = []tmplStep{{
-			dur:  c.copyT(msgBytes, crossSocket(node, l, src)),
-			deps: []tmplDep{dep},
+			dur: c.copyT(msgBytes, crossSocket(node, l, src)),
+			dep: dep,
 		}}
 	}
 	return t
@@ -404,8 +416,8 @@ func binomialGather(node *topo.Node, p int, perRankBytes float64, c progCosts) *
 				dep.step = -1
 			}
 			steps = append(steps, tmplStep{
-				dur:  c.copyT(float64(segRanks)*perRankBytes, crossSocket(node, l, src)),
-				deps: []tmplDep{dep},
+				dur: c.copyT(float64(segRanks)*perRankBytes, crossSocket(node, l, src)),
+				dep: dep,
 			})
 			recvSteps[l] = len(steps)
 		}
@@ -419,7 +431,7 @@ type interKind int
 
 const (
 	interNone interKind = iota
-	// interRingAll: every rank runs hopsTotal ring hops (folded into macro
+	// interRingAll: every rank runs the ring's hops (folded into macro
 	// steps) over the node dimension on its own lane.
 	interRingAll
 	// interRingLeader: only local 0 runs the ring.
@@ -435,14 +447,24 @@ const (
 	interLaneTree
 )
 
-// interSpec is the compiled inter-node phase.
+// interSpec is the compiled inter-node phase. A ring's hops are spread over
+// macro steps: every macro step covers hopBase hops, and the first hopRem
+// cover one more, preserving the total.
 type interSpec struct {
 	kind      interKind
-	hopsTotal int
 	macro     int
+	hopBase   int
+	hopRem    int
 	hopDur    sim.Tick
 	reduceDur sim.Tick
 	extraDur  sim.Tick
+}
+
+// ringSpec compiles a ring phase of hops hops, each costing hopDur, folded
+// into at most ringSteps macro steps (no cap when ringSteps <= 0).
+func ringSpec(kind interKind, hops, ringSteps int, hopDur sim.Tick) interSpec {
+	m := macroSteps(hops, ringSteps)
+	return interSpec{kind: kind, macro: m, hopBase: hops / m, hopRem: hops % m, hopDur: hopDur}
 }
 
 // macroSteps caps hops at the coarsening limit.
@@ -456,14 +478,12 @@ func macroSteps(hops, cap_ int) int {
 	return hops
 }
 
-// hopsIn returns how many underlying hops macro step g covers (earlier
-// macro steps take the remainder, preserving the total).
+// hopsIn returns how many underlying hops macro step g covers.
 func (s *interSpec) hopsIn(g int) int {
-	base, rem := s.hopsTotal/s.macro, s.hopsTotal%s.macro
-	if g < rem {
-		return base + 1
+	if g < s.hopRem {
+		return s.hopBase + 1
 	}
-	return base
+	return s.hopBase
 }
 
 // clusterProgram is a compiled hierarchical collective over
@@ -473,17 +493,28 @@ func (s *interSpec) hopsIn(g int) int {
 type clusterProgram struct {
 	nodes, perNode int
 	tmplA, tmplC   *intraTemplate
-	aOnlyNode0     bool
-	inter          interSpec
+	// aLens/cLens[local] are the phase-A/C step counts per local rank,
+	// filled by compiled when the program is built.
+	aLens, cLens []int32
+	aOnlyNode0   bool
+	inter        interSpec
+}
+
+// compiled fills the per-local phase-length tables and returns the finished
+// program.
+func (cp *clusterProgram) compiled() *clusterProgram {
+	cp.aLens = cp.tmplA.lens(cp.perNode)
+	cp.cLens = cp.tmplC.lens(cp.perNode)
+	return cp
 }
 
 func (cp *clusterProgram) Ranks() int { return cp.nodes * cp.perNode }
 
-func (cp *clusterProgram) lenA(node, local int) int {
+func (cp *clusterProgram) aLen(node, local int) int {
 	if cp.aOnlyNode0 && node != 0 {
 		return 0
 	}
-	return cp.tmplA.len(local)
+	return int(cp.aLens[local])
 }
 
 // recvCount returns how many binomial-reduce rounds node m receives in.
@@ -510,7 +541,7 @@ func (cp *clusterProgram) recvRound(m, k int) int {
 	panic("cluster: recvRound out of range")
 }
 
-func (cp *clusterProgram) lenB(node, local int) int {
+func (cp *clusterProgram) bLen(node, local int) int {
 	switch cp.inter.kind {
 	case interRingAll:
 		return cp.inter.macro
@@ -538,100 +569,74 @@ func (cp *clusterProgram) lenB(node, local int) int {
 	return 0
 }
 
-func (cp *clusterProgram) Steps(rank int) int {
+func (cp *clusterProgram) Step(rank, step int, visit func(depRank, depStep int) bool) (sim.Tick, bool) {
 	node, local := rank/cp.perNode, rank%cp.perNode
-	return cp.lenA(node, local) + cp.lenB(node, local) + cp.tmplC.len(local)
+	la := cp.aLen(node, local)
+	if step < la {
+		ts := &cp.tmplA.steps[local][step]
+		// Phase A has no predecessor phase; step -1 deps are free.
+		if ts.dep.local >= 0 && ts.dep.step >= 0 {
+			visit(node*cp.perNode+int(ts.dep.local), int(ts.dep.step))
+		}
+		return ts.dur, true
+	}
+	g := step - la
+	lb := cp.bLen(node, local)
+	if g < lb {
+		dur, _, _ := cp.interStep(node, local, g, visit)
+		return dur, true
+	}
+	g -= lb
+	if g >= int(cp.cLens[local]) {
+		return 0, false
+	}
+	ts := &cp.tmplC.steps[local][g]
+	if q := int(ts.dep.local); q >= 0 {
+		// Phase-relative step -1 lands on q's last step before phase C.
+		if ds := cp.aLen(node, q) + cp.bLen(node, q) + int(ts.dep.step); ds >= 0 {
+			visit(node*cp.perNode+q, ds)
+		}
+	}
+	return ts.dur, true
 }
 
-func (cp *clusterProgram) Duration(rank, step int) sim.Tick {
-	node, local := rank/cp.perNode, rank%cp.perNode
-	la := cp.lenA(node, local)
-	if step < la {
-		return cp.tmplA.steps[local][step].dur
-	}
-	lb := cp.lenB(node, local)
-	if step < la+lb {
-		g := step - la
-		switch cp.inter.kind {
-		case interRingAll, interRingLeader:
-			return sim.Tick(cp.inter.hopsIn(g)) * cp.inter.hopDur
-		case interTreeLeader:
-			if g < cp.recvCount(node) {
-				return cp.inter.hopDur + cp.inter.reduceDur
-			}
-			return cp.inter.hopDur + cp.inter.extraDur
-		default: // interTreeBcastLeader, interLaneTree
-			return cp.inter.hopDur + cp.inter.extraDur
+// interStep describes phase-B step g of (node, local): its duration, the
+// part of it carried on the inter-node lane, and the node at the far end of
+// that lane. A non-nil visit receives the step's dependency.
+func (cp *clusterProgram) interStep(node, local, g int, visit func(depRank, depStep int) bool) (dur, lane sim.Tick, far int) {
+	in := &cp.inter
+	// dep visits local l's step s on node n; s < 0 is ready at time zero.
+	dep := func(n, l, s int) {
+		if visit != nil && s >= 0 {
+			visit(n*cp.perNode+l, s)
 		}
 	}
-	return cp.tmplC.steps[local][step-la-lb].dur
-}
-
-func (cp *clusterProgram) Deps(rank, step int, visit func(depRank, depStep int) bool) {
-	node, local := rank/cp.perNode, rank%cp.perNode
-	la := cp.lenA(node, local)
-	emit := func(depRank, depStep int) bool {
-		if depStep < 0 {
-			return true // ready at time zero
+	switch in.kind {
+	case interRingAll, interRingLeader:
+		far = node - 1
+		if far < 0 {
+			far = cp.nodes - 1
 		}
-		return visit(depRank, depStep)
-	}
-	if step < la {
-		for _, d := range cp.tmplA.steps[local][step].deps {
-			// Phase A has no predecessor phase; step -1 deps are free.
-			if d.step >= 0 && !emit(node*cp.perNode+int(d.local), int(d.step)) {
-				return
-			}
-		}
-		return
-	}
-	lb := cp.lenB(node, local)
-	if step < la+lb {
-		g := step - la
-		switch cp.inter.kind {
-		case interRingAll, interRingLeader:
-			prev := (node - 1 + cp.nodes) % cp.nodes
-			emit(prev*cp.perNode+local, cp.lenA(prev, local)+g-1)
-		case interTreeLeader:
-			if g < cp.recvCount(node) {
-				pn := node + cp.recvRound(node, g)
-				emit(pn*cp.perNode, cp.lenA(pn, 0)+cp.recvCount(pn)-1)
-			} else {
-				sn := node - 1<<(bits.Len(uint(node))-1)
-				srcB := cp.recvCount(sn)
-				if sn > 0 {
-					srcB++
-				}
-				emit(sn*cp.perNode, cp.lenA(sn, 0)+srcB-1)
-			}
-		case interTreeBcastLeader:
-			sn := node - 1<<(bits.Len(uint(node))-1)
-			srcB := 0
-			if sn > 0 {
-				srcB = 1
-			}
-			emit(sn*cp.perNode, cp.lenA(sn, 0)+srcB-1)
-		case interLaneTree:
-			sn := node - 1<<(bits.Len(uint(node))-1)
-			srcB := 0
-			if sn > 0 {
-				srcB = 1
-			}
-			emit(sn*cp.perNode+local, cp.lenA(sn, local)+srcB-1)
-		}
-		return
-	}
-	for _, d := range cp.tmplC.steps[local][step-la-lb].deps {
-		q := int(d.local)
-		qOff := cp.lenA(node, q) + cp.lenB(node, q)
-		ds := qOff + int(d.step)
-		if d.step < 0 {
-			ds = qOff - 1
-		}
-		if !emit(node*cp.perNode+q, ds) {
-			return
+		dep(far, local, cp.aLen(far, local)+g-1)
+		lane = sim.Tick(in.hopsIn(g)) * in.hopDur
+		return lane, lane, far
+	case interTreeLeader:
+		if g < cp.recvCount(node) {
+			far = node + cp.recvRound(node, g)
+			dep(far, 0, cp.aLen(far, 0)+cp.recvCount(far)-1)
+			return in.hopDur + in.reduceDur, in.hopDur, far
 		}
 	}
+	// A binomial-broadcast receive (the second half of interTreeLeader,
+	// interTreeBcastLeader and interLaneTree) waits for its source's last
+	// step before phase C. Tree-shaped phases pay one wire hop per step;
+	// reduceDur/extraDur are node-local compute.
+	far = node - 1<<(bits.Len(uint(node))-1)
+	if in.kind != interLaneTree {
+		local = 0
+	}
+	dep(far, local, cp.aLen(far, local)+cp.bLen(far, local)-1)
+	return in.hopDur + in.extraDur, in.hopDur, far
 }
 
 // flatRingProgram is the node-oblivious ring over all P ranks (MPICH-style
@@ -650,13 +655,6 @@ type flatRingProgram struct {
 
 func (fp *flatRingProgram) Ranks() int { return fp.ranks }
 
-func (fp *flatRingProgram) Steps(int) int {
-	if fp.ranks <= 1 {
-		return 0
-	}
-	return fp.macro
-}
-
 func (fp *flatRingProgram) hopRange(g int) (lo, hi int) {
 	base, rem := fp.hopsTotal/fp.macro, fp.hopsTotal%fp.macro
 	lo = g*base + min(g, rem)
@@ -667,7 +665,13 @@ func (fp *flatRingProgram) hopRange(g int) (lo, hi int) {
 	return lo, hi
 }
 
-func (fp *flatRingProgram) Duration(rank, step int) sim.Tick {
+func (fp *flatRingProgram) Step(rank, step int, visit func(depRank, depStep int) bool) (sim.Tick, bool) {
+	if step >= fp.macro {
+		return 0, false
+	}
+	if step > 0 { // hop 0 consumes the predecessor's initial data
+		visit((rank-1+fp.ranks)%fp.ranks, step-1)
+	}
 	lo, hi := fp.hopRange(step)
 	nRed := 0
 	if lo < fp.reduceHops {
@@ -675,17 +679,15 @@ func (fp *flatRingProgram) Duration(rank, step int) sim.Tick {
 	}
 	nCopy := (hi - lo) - nRed
 	d := sim.Tick(nRed)*fp.intraReduce + sim.Tick(nCopy)*fp.intraCopy
-	if rank%fp.perNode == 0 && fp.ranks > fp.perNode {
+	if fp.interStep(rank) {
 		d += sim.Tick(hi-lo) * fp.interExtra
 	}
-	return d
+	return d, true
 }
 
-func (fp *flatRingProgram) Deps(rank, step int, visit func(depRank, depStep int) bool) {
-	if step == 0 {
-		return // hop 0 consumes the predecessor's initial data
-	}
-	visit((rank-1+fp.ranks)%fp.ranks, step-1)
+// interStep reports whether rank's hops cross a node boundary.
+func (fp *flatRingProgram) interStep(rank int) bool {
+	return rank%fp.perNode == 0 && fp.ranks > fp.perNode
 }
 
 // flatTreeProgram is the node-oblivious binomial broadcast over all P
@@ -698,28 +700,26 @@ type flatTreeProgram struct {
 
 func (ft *flatTreeProgram) Ranks() int { return ft.ranks }
 
-func (ft *flatTreeProgram) Steps(rank int) int {
-	if rank == 0 {
-		return 0
-	}
-	return 1
-}
-
 func (ft *flatTreeProgram) src(rank int) int {
 	return rank - 1<<(bits.Len(uint(rank))-1)
 }
 
-func (ft *flatTreeProgram) Duration(rank, _ int) sim.Tick {
-	if ft.src(rank)/ft.perNode != rank/ft.perNode {
-		return ft.interDur
-	}
-	return ft.intraDur
+// crossNode reports whether rank receives from another node.
+func (ft *flatTreeProgram) crossNode(rank int) bool {
+	return ft.src(rank)/ft.perNode != rank/ft.perNode
 }
 
-func (ft *flatTreeProgram) Deps(rank, _ int, visit func(depRank, depStep int) bool) {
+func (ft *flatTreeProgram) Step(rank, step int, visit func(depRank, depStep int) bool) (sim.Tick, bool) {
+	if rank == 0 || step > 0 {
+		return 0, false
+	}
 	if s := ft.src(rank); s != 0 {
 		visit(s, 0)
 	}
+	if ft.crossNode(rank) {
+		return ft.interDur, true
+	}
+	return ft.intraDur, true
 }
 
 // resolveIntra picks and validates the intra-node kind.
@@ -773,15 +773,9 @@ func (c *Cluster) CompileAllreduce(alg Algorithm, n int64, o ScheduleOptions) (s
 			return nil, fmt.Errorf("cluster: intra kind %q is leader-based; yhccl needs ma or socket", kind)
 		}
 		if N > 1 {
-			hops := 2 * (N - 1)
-			cp.inter = interSpec{
-				kind:      interRingAll,
-				hopsTotal: hops,
-				macro:     macroSteps(hops, o.RingSteps),
-				hopDur:    costs.laneT(msg/float64(p)/float64(N), p),
-			}
+			cp.inter = ringSpec(interRingAll, 2*(N-1), o.RingSteps, costs.laneT(msg/float64(p)/float64(N), p))
 		}
-		return cp, nil
+		return cp.compiled(), nil
 	case LeaderRing, LeaderTree:
 		kind, _, _, err := c.resolveIntra(o, true)
 		if err != nil {
@@ -797,13 +791,7 @@ func (c *Cluster) CompileAllreduce(alg Algorithm, n int64, o ScheduleOptions) (s
 		}
 		if N > 1 {
 			if alg == LeaderRing {
-				hops := 2 * (N - 1)
-				cp.inter = interSpec{
-					kind:      interRingLeader,
-					hopsTotal: hops,
-					macro:     macroSteps(hops, o.RingSteps),
-					hopDur:    costs.laneT(msg/float64(N), 1),
-				}
+				cp.inter = ringSpec(interRingLeader, 2*(N-1), o.RingSteps, costs.laneT(msg/float64(N), 1))
 			} else {
 				cp.inter = interSpec{
 					kind:      interTreeLeader,
@@ -813,7 +801,7 @@ func (c *Cluster) CompileAllreduce(alg Algorithm, n int64, o ScheduleOptions) (s
 				}
 			}
 		}
-		return cp, nil
+		return cp.compiled(), nil
 	case FlatRing:
 		P := N * p
 		if P <= 1 {
@@ -853,7 +841,7 @@ func (c *Cluster) CompileBcast(alg Algorithm, n int64, o ScheduleOptions) (sim.P
 		if p > 1 {
 			scatter := &intraTemplate{steps: make([][]tmplStep, p)}
 			for l := 0; l < p; l++ {
-				scatter.steps[l] = []tmplStep{{dur: costs.copyT(piece, crossSocket(c.Node, l, 0))}}
+				scatter.steps[l] = []tmplStep{{dur: costs.copyT(piece, crossSocket(c.Node, l, 0)), dep: noDep}}
 			}
 			cp.tmplA = scatter
 			cp.tmplC = maAllgather(c.Node, p, piece, costs)
@@ -861,7 +849,7 @@ func (c *Cluster) CompileBcast(alg Algorithm, n int64, o ScheduleOptions) (sim.P
 		if N > 1 {
 			cp.inter = interSpec{kind: interLaneTree, hopDur: costs.laneT(piece, p)}
 		}
-		return cp, nil
+		return cp.compiled(), nil
 	case LeaderRing, LeaderTree:
 		cp := &clusterProgram{
 			nodes: N, perNode: p,
@@ -874,7 +862,7 @@ func (c *Cluster) CompileBcast(alg Algorithm, n int64, o ScheduleOptions) (sim.P
 				extraDur: costs.copyT(msg, false),
 			}
 		}
-		return cp, nil
+		return cp.compiled(), nil
 	case FlatRing:
 		return &flatTreeProgram{
 			ranks: N * p, perNode: p,
@@ -905,15 +893,9 @@ func (c *Cluster) CompileAllgather(alg Algorithm, n int64, o ScheduleOptions) (s
 			tmplA: maAllgather(c.Node, p, contrib, costs),
 		}
 		if N > 1 {
-			hops := N - 1
-			cp.inter = interSpec{
-				kind:      interRingAll,
-				hopsTotal: hops,
-				macro:     macroSteps(hops, o.RingSteps),
-				hopDur:    costs.laneT(contrib, p) + costs.copyT(contrib, false),
-			}
+			cp.inter = ringSpec(interRingAll, N-1, o.RingSteps, costs.laneT(contrib, p)+costs.copyT(contrib, false))
 		}
-		return cp, nil
+		return cp.compiled(), nil
 	case LeaderRing, LeaderTree:
 		// Leaders gather intra-node, exchange node blocks on a single-lane
 		// ring, then broadcast the assembled result locally.
@@ -924,15 +906,9 @@ func (c *Cluster) CompileAllgather(alg Algorithm, n int64, o ScheduleOptions) (s
 			tmplC: binomialBcast(c.Node, p, total, costs),
 		}
 		if N > 1 {
-			hops := N - 1
-			cp.inter = interSpec{
-				kind:      interRingLeader,
-				hopsTotal: hops,
-				macro:     macroSteps(hops, o.RingSteps),
-				hopDur:    costs.laneT(contrib*float64(p), 1),
-			}
+			cp.inter = ringSpec(interRingLeader, N-1, o.RingSteps, costs.laneT(contrib*float64(p), 1))
 		}
-		return cp, nil
+		return cp.compiled(), nil
 	case FlatRing:
 		P := N * p
 		if P <= 1 {
@@ -993,13 +969,29 @@ func (c *Cluster) SetEngine(kind sim.EngineKind) { c.engine = kind }
 // Engine returns the selected simulation core.
 func (c *Cluster) Engine() sim.EngineKind { return c.engine }
 
-// ProgramEvents estimates how many calendar events a compiled program
-// dispatches (one per step); useful for budgeting scale sweeps.
+// ProgramEvents returns how many calendar events a compiled program
+// dispatches on a healthy event-engine run (one per step); useful for
+// budgeting scale sweeps.
 func ProgramEvents(p sim.Program) uint64 {
 	var total uint64
 	R := p.Ranks()
 	for r := 0; r < R; r++ {
-		total += uint64(p.Steps(r))
+		total += uint64(stepCount(p, r))
 	}
 	return total
 }
+
+// stepCount returns how many steps rank executes, probing Step forward
+// until it reports the rank's end.
+func stepCount(p sim.Program, rank int) int {
+	n := 0
+	for {
+		if _, ok := p.Step(rank, n, stopVisit); !ok {
+			return n
+		}
+		n++
+	}
+}
+
+// stopVisit ends a dependency enumeration at once.
+func stopVisit(int, int) bool { return false }

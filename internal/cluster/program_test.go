@@ -1,6 +1,11 @@
 package cluster
 
 import (
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -9,22 +14,86 @@ import (
 	"yhccl/internal/topo"
 )
 
+var update = flag.Bool("update", false,
+	"rewrite testdata/parity.golden from the current implementation")
+
+// stepDigest is the FNV-64a digest of a program's full step table: one
+// line per step in enumeration order (rank, step), each holding the rank,
+// the step, its duration and every dependency it visits.
+func stepDigest(p sim.Program) uint64 {
+	h := fnv.New64a()
+	var deps []byte
+	visit := func(depRank, depStep int) bool {
+		deps = fmt.Appendf(deps, " %d:%d", depRank, depStep)
+		return true
+	}
+	for r := 0; r < p.Ranks(); r++ {
+		for s := 0; ; s++ {
+			deps = deps[:0]
+			dur, ok := p.Step(r, s, visit)
+			if !ok {
+				break
+			}
+			fmt.Fprintf(h, "%d %d %d%s\n", r, s, dur, deps)
+		}
+	}
+	return h.Sum64()
+}
+
 // TestEngineParity is the gate: tick-identical makespans on every config of
-// the shared matrix, plus event-engine rerun determinism.
+// the shared matrix, plus event-engine rerun determinism. Both engines
+// interpret the same compiled program, so the makespans, event counts and
+// step tables are also pinned to testdata/parity.golden: a program that
+// shifts a duration or a dependency fails here even though the engines
+// still agree. Regenerate (only for intentional schedule changes) with:
+// go test ./internal/cluster -run TestEngineParity -update
 func TestEngineParity(t *testing.T) {
-	results, err := VerifyParity(ParityCases())
+	cases := ParityCases()
+	results, err := VerifyParity(cases)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) == 0 {
 		t.Fatal("empty parity matrix")
 	}
-	for _, r := range results {
+	var sb strings.Builder
+	for i, r := range results {
 		// A lone rank (1x1 world) legitimately finishes at tick 0; everything
 		// else must take time.
 		if r.Makespan < 0 || (r.Makespan == 0 && !strings.Contains(r.Name, "/1x1/")) {
 			t.Fatalf("%s: bad makespan %d", r.Name, r.Makespan)
 		}
+		prog, err := cases[i].compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&sb, "%s makespan=%d events=%d steps=%016x\n",
+			r.Name, r.Makespan, r.Events, stepDigest(prog))
+	}
+	got := sb.String()
+	path := filepath.Join("testdata", "parity.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to record): %v", err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("parity matrix diverged from %s at line %d:\n got  %s\n want %s", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("parity matrix has %d lines, %s has %d", len(gl), path, len(wl))
 	}
 }
 
@@ -136,7 +205,8 @@ func TestDegenerateShapes(t *testing.T) {
 	}
 }
 
-// TestProgramEvents: the event estimate matches what the engine dispatches.
+// TestProgramEvents: ProgramEvents counts exactly the events the engine
+// dispatches.
 func TestProgramEvents(t *testing.T) {
 	c := New(topo.NodeA(), 8, 16, IB100())
 	prog, err := c.CompileAllreduce(YHCCLHierarchical, 65536, ScheduleOptions{Intra: IntraMA})
@@ -148,7 +218,7 @@ func TestProgramEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := ProgramEvents(prog); res.Events != want {
-		t.Fatalf("dispatched %d events, estimate %d", res.Events, want)
+		t.Fatalf("dispatched %d events, ProgramEvents counts %d", res.Events, want)
 	}
 }
 

@@ -10,13 +10,15 @@ import (
 // ladderProgram: rank r's single step waits on rank r-1 and takes r+1 ticks.
 type ladderProgram struct{ ranks int }
 
-func (p *ladderProgram) Ranks() int                 { return p.ranks }
-func (p *ladderProgram) Steps(int) int              { return 1 }
-func (p *ladderProgram) Duration(r, _ int) sim.Tick { return sim.Tick(r + 1) }
-func (p *ladderProgram) Deps(r, _ int, visit func(int, int) bool) {
+func (p *ladderProgram) Ranks() int { return p.ranks }
+func (p *ladderProgram) Step(r, step int, visit func(int, int) bool) (sim.Tick, bool) {
+	if step > 0 {
+		return 0, false
+	}
 	if r > 0 {
 		visit(r-1, 0)
 	}
+	return sim.Tick(r + 1), true
 }
 
 func TestMachineRunProgram(t *testing.T) {

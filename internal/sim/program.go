@@ -6,11 +6,14 @@
 // completions. Step/chunk-structured collectives (MA chains, RG trees,
 // socket-aware compositions, inter-node rings) compile to this form
 // directly, with the step logic computed procedurally from (rank, step) so
-// nothing proportional to ranks x steps is ever materialized.
+// nothing proportional to ranks x steps is ever materialized. One Step call
+// answers everything an interpreter needs about a step — whether it exists,
+// its dependencies and its duration — so an implementation resolves where
+// the step sits in its schedule once per call.
 //
 // The completion-time semantics are defined once, engine-independently:
 //
-//	C[r][s] = max(C[r][s-1], max over deps d of C[d]) + Duration(r, s)
+//	C[r][s] = max(C[r][s-1], max over deps d of C[d]) + dur(r, s)
 //
 // Both interpreters realize exactly this recurrence with exact integer
 // arithmetic — the event engine natively on ticks, the coroutine engine by
@@ -25,21 +28,20 @@ import (
 
 // Program is a compiled step schedule over a set of ranks.
 //
-// Steps of one rank execute strictly in order. Deps must call visit for
-// each dependency of (rank, step) in a fixed deterministic order; a
-// dependency with depStep < 0 means "ready at time zero" and is skipped.
-// Implementations must be pure: the same (rank, step) always yields the
-// same durations and dependencies.
+// Steps of one rank execute strictly in order. Implementations must be
+// pure: the same (rank, step) always yields the same answer, and a call may
+// be suspended inside visit (the coroutine interpreter blocks there) while
+// other calls run.
 type Program interface {
 	// Ranks returns the number of ranks (state machines).
 	Ranks() int
-	// Steps returns how many steps the given rank executes.
-	Steps(rank int) int
-	// Duration returns the integer-tick cost of one step.
-	Duration(rank, step int) Tick
-	// Deps enumerates the dependencies of one step. visit returns false to
-	// stop the enumeration early.
-	Deps(rank, step int, visit func(depRank, depStep int) bool)
+	// Step describes one step of a rank. ok is false once step is past the
+	// rank's last step, and visit is then not called. Otherwise Step calls
+	// visit for each dependency of (rank, step) in a fixed deterministic
+	// order, stopping early when visit returns false, and returns the
+	// step's integer-tick duration. A dependency with depStep < 0 means
+	// "ready at time zero" and is skipped.
+	Step(rank, step int, visit func(depRank, depStep int) bool) (dur Tick, ok bool)
 }
 
 // EngineKind selects the simulation core a program runs on.
@@ -127,7 +129,6 @@ type programRunner struct {
 
 	// attempt scratch, threaded through the pre-bound visit closure so the
 	// per-step dependency scan allocates nothing.
-	scanRank    int32
 	scanBlocked int32
 	scanNeed    int32
 	visitFn     func(depRank, depStep int) bool
@@ -212,25 +213,24 @@ func (r *programRunner) visit(depRank, depStep int) bool {
 	return false
 }
 
-// attempt tries to start rank's next step at the current tick: if every
-// dependency is complete the completion event is posted; otherwise the rank
-// parks on the intrusive waiter list of the first unmet dependency.
+// attempt tries to start rank's next step at the current tick with one
+// Step call: if every dependency is complete the completion event is
+// posted; otherwise the rank parks on the intrusive waiter list of the
+// first unmet dependency.
 func (r *programRunner) attempt(rank int32, now Tick) {
-	s := r.done[rank]
-	if int(s) >= r.prog.Steps(int(rank)) {
+	r.scanBlocked = -1
+	dur, ok := r.prog.Step(int(rank), int(r.done[rank]), r.visitFn)
+	if !ok {
 		r.finished++
 		return
 	}
-	r.scanRank = rank
-	r.scanBlocked = -1
-	r.prog.Deps(int(rank), int(s), r.visitFn)
 	if q := r.scanBlocked; q >= 0 {
 		r.waitNeed[rank] = r.scanNeed
 		r.waitNext[rank] = r.waitHead[q]
 		r.waitHead[q] = rank
 		return
 	}
-	fin := now + r.prog.Duration(int(rank), int(s))
+	fin := now + dur
 	if r.crash != nil {
 		if t := r.crash[rank]; t >= 0 && fin >= t {
 			// The rank's machine is poisoned before this step can complete:
@@ -318,15 +318,18 @@ func RunProgramCoroutine(p Program) (ProgramResult, error) {
 	for i := 0; i < R; i++ {
 		rank := i
 		e.Spawn(fmt.Sprintf("rank%d", rank), func(proc *Proc) {
-			S := p.Steps(rank)
-			for s := 0; s < S; s++ {
-				p.Deps(rank, s, func(depRank, depStep int) bool {
-					if depStep >= 0 {
-						proc.Wait(flags[depRank], uint64(depStep+1), 0)
-					}
-					return true
-				})
-				proc.Advance(float64(p.Duration(rank, s)))
+			wait := func(depRank, depStep int) bool {
+				if depStep >= 0 {
+					proc.Wait(flags[depRank], uint64(depStep+1), 0)
+				}
+				return true
+			}
+			for s := 0; ; s++ {
+				dur, ok := p.Step(rank, s, wait)
+				if !ok {
+					return
+				}
+				proc.Advance(float64(dur))
 				proc.Incr(flags[rank])
 				steps++
 			}

@@ -12,15 +12,17 @@ type tableProgram struct {
 	deps [][][][2]int // [rank][step] -> list of (depRank, depStep)
 }
 
-func (p *tableProgram) Ranks() int             { return len(p.durs) }
-func (p *tableProgram) Steps(rank int) int     { return len(p.durs[rank]) }
-func (p *tableProgram) Duration(r, s int) Tick { return p.durs[r][s] }
-func (p *tableProgram) Deps(r, s int, visit func(int, int) bool) {
+func (p *tableProgram) Ranks() int { return len(p.durs) }
+func (p *tableProgram) Step(r, s int, visit func(int, int) bool) (Tick, bool) {
+	if s >= len(p.durs[r]) {
+		return 0, false
+	}
 	for _, d := range p.deps[r][s] {
 		if !visit(d[0], d[1]) {
-			return
+			break
 		}
 	}
+	return p.durs[r][s], true
 }
 
 func bothEngines(t *testing.T, p Program) (ProgramResult, ProgramResult) {
@@ -202,13 +204,15 @@ func TestProgramFlatMemory(t *testing.T) {
 // serial dependency chain, procedurally generated (no tables).
 type chainProgram struct{ ranks int }
 
-func (p *chainProgram) Ranks() int             { return p.ranks }
-func (p *chainProgram) Steps(int) int          { return 1 }
-func (p *chainProgram) Duration(int, int) Tick { return 1 }
-func (p *chainProgram) Deps(rank, _ int, visit func(int, int) bool) {
+func (p *chainProgram) Ranks() int { return p.ranks }
+func (p *chainProgram) Step(rank, step int, visit func(int, int) bool) (Tick, bool) {
+	if step > 0 {
+		return 0, false
+	}
 	if rank > 0 {
 		visit(rank-1, 0)
 	}
+	return 1, true
 }
 
 func TestParseEngine(t *testing.T) {

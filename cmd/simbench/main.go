@@ -34,7 +34,9 @@ import (
 
 	"yhccl/internal/bench"
 	"yhccl/internal/cluster"
+	"yhccl/internal/coll"
 	"yhccl/internal/memmodel"
+	"yhccl/internal/mpi"
 	"yhccl/internal/plan"
 	"yhccl/internal/serve"
 	"yhccl/internal/sim"
@@ -282,6 +284,27 @@ func residencyLookup(b *testing.B) {
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// coroutineDPML measures one warm, model-only DPML all-reduce of 8 MB on
+// NodeA with 64 ranks: every rank streams fused Copy/Accumulate charges
+// through the shared residency trackers, so the coroutine engine's
+// per-sub-charge scheduling dominates, as in the paper's 64 MB baseline.
+func coroutineDPML(b *testing.B) {
+	const n = int64(8<<20) / memmodel.ElemSize
+	m := mpi.NewMachine(topo.NodeA(), 64, false)
+	body := func(r *mpi.Rank) {
+		sb := r.PersistentBuffer("sb", n)
+		rb := r.PersistentBuffer("rb", n)
+		r.Warm(sb, 0, n)
+		coll.AllreduceDPML(r, r.World(), sb, rb, n, mpi.Sum, coll.Options{})
+	}
+	m.MustRun(body) // warm-up: buffers, shared segments, residency
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		m.MustRun(body)
 	}
 }
 
@@ -583,6 +606,7 @@ func realMain() int {
 		{"program_coroutine", programEngine(sim.EngineCoroutine)},
 		{"residency_insert", residencyInsert},
 		{"residency_lookup", residencyLookup},
+		{"coroutine_dpml", coroutineDPML},
 		{"plan_lookup", planLookup},
 		{"plan_synthesize", planSynthesize(&rep.PlanCacheEntries)},
 		{"serve_admission", serveAdmission},

@@ -19,7 +19,7 @@ import (
 )
 
 var updateGolden = flag.Bool("update-golden", false,
-	"rewrite testdata/determinism.golden from the current implementation")
+	"rewrite testdata/determinism.golden and testdata/trace.golden from the current implementation")
 
 // goldenCase is one collective execution whose simulated time and traffic
 // counters are fingerprinted bit-for-bit.

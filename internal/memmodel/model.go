@@ -97,6 +97,10 @@ type Model struct {
 	// physical socket) sharing socket s's DRAM/L3 bandwidth and LLC
 	// capacity. All-zero for a solo job.
 	external []int
+
+	// charges[i] is the charge slot of the proc with ID i (see begin and
+	// growCharges).
+	charges []charge
 }
 
 // New builds a model for the node with the given rank-to-core binding
@@ -206,14 +210,6 @@ func (m *Model) SetTracer(t *sim.Tracer) { m.tracer = t }
 // Tracer returns the attached tracer (nil when disabled).
 func (m *Model) Tracer() *sim.Tracer { return m.tracer }
 
-// span records a traced interval if tracing is enabled. Hot paths guard the
-// call (and the span-name construction) behind a tracer nil check.
-func (m *Model) span(p *sim.Proc, name string, from float64) {
-	if m.tracer != nil {
-		m.tracer.Span(p, name, from, p.Now())
-	}
-}
-
 // Counters returns a snapshot of the accumulated counters.
 func (m *Model) Counters() Counters { return m.counters }
 
@@ -288,26 +284,238 @@ func (m *Model) cacheTime(socket int, bytes int64) float64 {
 // by the rank running on `core`, advancing p's clock. Loaded data becomes
 // cache-resident on the core's socket.
 func (m *Model) Load(p *sim.Proc, core int, b *Buffer, off, n int64) {
-	m.load(p, m.coreSocket[core], m.coreSlot[core], b, off, n)
+	b.CheckRange(off, n)
+	s := subCharge{op: opLoad, b: b, off: off}
+	m.advance(p, &s, m.load(m.coreSocket[core], m.coreSlot[core], b, off, n))
 }
 
-// load is Load with the socket and cursor bank already resolved — the
-// sub-charge the fused entrypoints below share. It performs exactly one
-// p.Advance. The bank is selected per sub-charge (not once per fused op):
-// the Advance of one sub-charge may yield to other ranks whose ops select
-// their own banks in the same tracker.
-func (m *Model) load(p *sim.Proc, socket, slot int, b *Buffer, off, n int64) {
+// Store charges a store of n elements into b at offset off. Temporal stores
+// write-allocate: misses trigger an RFO line fill (DRAM read) and leave the
+// region dirty; hits run at cache speed. Non-temporal stores bypass the
+// cache entirely and invalidate any resident copy.
+func (m *Model) Store(p *sim.Proc, core int, b *Buffer, off, n int64, kind StoreKind) {
 	b.CheckRange(off, n)
+	s := subCharge{op: storeOp(kind), b: b, off: off}
+	m.advance(p, &s, m.store(m.coreSocket[core], m.coreSlot[core], b, off, n, s.op))
+}
+
+// Copy charges the load+store pair of copying n elements from src[sOff] to
+// dst[dOff]: the fused per-chunk charge behind Rank.CopyElems.
+//
+// Determinism: the sub-charges are the ones separate Load and Store calls
+// would make, each updating residency and counters and then advancing the
+// clock with the same float operations in the same order. Between them p
+// may park (one sim.Charge is exactly one Advance per sub-charge in
+// schedule), and other ranks then update the same per-socket tracker
+// before the next sub-charge reads it. The engine runs that next
+// sub-charge itself when it pops p — the moment the resumed rank would
+// have run it — so charged times, counters and residency decisions are
+// bit-identical to one Advance per sub-charge. Every range is checked here,
+// on p's stack, before any sub-charge runs.
+func (m *Model) Copy(p *sim.Proc, core int, dst *Buffer, dOff int64, src *Buffer, sOff, n int64, kind StoreKind) {
+	src.CheckRange(sOff, n)
+	dst.CheckRange(dOff, n)
+	c := m.begin(p, core, n)
+	c.add(opLoad, src, sOff)
+	c.add(storeOp(kind), dst, dOff)
+	m.run(p, c)
+}
+
+// Accumulate charges dst[dOff..] op= src[sOff..] over n elements: loads of
+// dst and src, the store of dst and the arithmetic floor, in that order, as
+// one charge (see Copy for the determinism argument).
+func (m *Model) Accumulate(p *sim.Proc, core int, dst *Buffer, dOff int64, src *Buffer, sOff, n int64, kind StoreKind) {
+	dst.CheckRange(dOff, n)
+	src.CheckRange(sOff, n)
+	c := m.begin(p, core, n)
+	c.add(opLoad, dst, dOff)
+	c.add(opLoad, src, sOff)
+	c.add(storeOp(kind), dst, dOff)
+	c.add(opFloor, nil, 0)
+	m.run(p, c)
+}
+
+// Combine charges out[oOff..] = op(a[aOff..], b[bOff..]) over n elements:
+// loads of a and b, the store of out and the arithmetic floor, in that
+// order, as one charge (see Copy for the determinism argument).
+func (m *Model) Combine(p *sim.Proc, core int, out *Buffer, oOff int64, a *Buffer, aOff int64, b *Buffer, bOff, n int64, kind StoreKind) {
+	a.CheckRange(aOff, n)
+	b.CheckRange(bOff, n)
+	out.CheckRange(oOff, n)
+	c := m.begin(p, core, n)
+	c.add(opLoad, a, aOff)
+	c.add(opLoad, b, bOff)
+	c.add(storeOp(kind), out, oOff)
+	c.add(opFloor, nil, 0)
+	m.run(p, c)
+}
+
+// CountCopyVolume adds 2*n elements worth of bytes to the copy-volume
+// counter V (one load plus one store per copied byte, paper §2.1). The
+// caller invokes it alongside the Load/Store pair of a private<->shared
+// copy.
+func (m *Model) CountCopyVolume(n int64) {
+	m.counters.CopyVolume += 2 * n * ElemSize
+}
+
+// ReduceFloor charges the arithmetic floor of reducing n elements (SIMD
+// throughput cap). Memory time is charged separately by Load/Store; the
+// floor only matters when everything is cache-resident.
+func (m *Model) ReduceFloor(p *sim.Proc, n int64) {
+	m.advance(p, &subCharge{op: opFloor}, m.floor(n))
+}
+
+// stepOp says what one sub-charge does.
+type stepOp uint8
+
+const (
+	opLoad stepOp = iota
+	opStoreTemporal
+	opStoreNonTemporal
+	opFloor
+)
+
+// storeOp returns the sub-charge of a store of the given kind, rejecting an
+// unknown kind before any sub-charge runs.
+func storeOp(kind StoreKind) stepOp {
+	switch kind {
+	case Temporal:
+		return opStoreTemporal
+	case NonTemporal:
+		return opStoreNonTemporal
+	}
+	panic(fmt.Sprintf("memmodel: unknown store kind %d", kind))
+}
+
+// subCharge is one sub-charge of a charge: op over the charge's element
+// count at offset off of b (b is nil for the floor).
+type subCharge struct {
+	op  stepOp
+	b   *Buffer
+	off int64
+}
+
+// charge is one memory op as a sim.Charge: its sub-charges in order, all
+// over the same element count, with the acting core's socket and cursor
+// bank resolved once when the op begins.
+type charge struct {
+	m            *Model
+	socket, slot int
+	n            int64
+	steps        [4]subCharge
+	nsteps, next int
+}
+
+func (c *charge) add(op stepOp, b *Buffer, off int64) {
+	c.steps[c.nsteps] = subCharge{op: op, b: b, off: off}
+	c.nsteps++
+}
+
+// Next runs the next sub-charge (sim.Charge).
+func (c *charge) Next(*sim.Proc) (float64, bool) {
+	s := &c.steps[c.next]
+	c.next++
+	return c.m.step(c.socket, c.slot, s, c.n), c.next == c.nsteps
+}
+
+// begin returns p's charge slot, reset for an op over n elements by the
+// rank on core. A proc runs at most one charge at a time — it is either
+// starting one on its own stack or parked inside one — so a slot per proc
+// ID is never reused while the engine may still run its sub-charges.
+func (m *Model) begin(p *sim.Proc, core int, n int64) *charge {
+	id := p.ID()
+	if id >= len(m.charges) {
+		m.growCharges(id + 1)
+	}
+	c := &m.charges[id]
+	c.socket, c.slot = m.coreSocket[core], m.coreSlot[core]
+	c.n, c.nsteps, c.next = n, 0, 0
+	return c
+}
+
+// growCharges makes room for at least n charge slots. The first charge
+// allocates a slot per bound rank (internal/mpi spawns rank i as proc i),
+// so a model that is never charged allocates none; later growth serves
+// engines that drive the model with more procs. A parked proc's charge
+// stays in the old array, where it completes; its copy is overwritten at
+// the proc's next op.
+func (m *Model) growCharges(n int) {
+	ranks := 0
+	for _, r := range m.ranksPerSocket {
+		ranks += r
+	}
+	grown := make([]charge, max(n, ranks, 2*len(m.charges)))
+	for i := range grown {
+		grown[i].m = m
+	}
+	copy(grown, m.charges)
+	m.charges = grown
+}
+
+// run charges c to p as one sim.Charge. With a tracer attached, every
+// sub-charge instead goes through advance on p's own stack, so spans keep
+// the order in which ranks' sub-charges complete.
+func (m *Model) run(p *sim.Proc, c *charge) {
+	if m.tracer == nil {
+		p.Charge(c)
+		return
+	}
+	for {
+		s := &c.steps[c.next]
+		dt, last := c.Next(p)
+		m.advance(p, s, dt)
+		if last {
+			return
+		}
+	}
+}
+
+// advance charges the duration dt of sub-charge s, already performed,
+// through p.Advance on p's own stack: single ops, which have no
+// continuation to save, and every sub-charge of a traced model, whose
+// load and store spans are recorded here when p resumes.
+func (m *Model) advance(p *sim.Proc, s *subCharge, dt float64) {
+	from := p.Now()
+	p.Advance(dt)
+	if m.tracer == nil {
+		return
+	}
+	switch s.op {
+	case opLoad:
+		m.tracer.Span(p, "load "+s.b.Name, from, p.Now())
+	case opStoreTemporal:
+		m.tracer.Span(p, Temporal.String()+" store "+s.b.Name, from, p.Now())
+	case opStoreNonTemporal:
+		m.tracer.Span(p, NonTemporal.String()+" store "+s.b.Name, from, p.Now())
+	}
+}
+
+// step performs one sub-charge: it updates residency and counters and
+// returns the sub-charge's duration.
+func (m *Model) step(socket, slot int, s *subCharge, n int64) float64 {
+	switch s.op {
+	case opLoad:
+		return m.load(socket, slot, s.b, s.off, n)
+	case opFloor:
+		return m.floor(n)
+	}
+	return m.store(socket, slot, s.b, s.off, n, s.op)
+}
+
+// floor is the arithmetic-floor sub-charge.
+func (m *Model) floor(n int64) float64 {
+	return float64(n*ElemSize) / m.Node.ReducePerCoreBandwidth
+}
+
+// load is the load sub-charge. The cursor bank is selected per sub-charge,
+// not once per op: other ranks' sub-charges may run between two of this
+// op's and select their own banks in the same tracker.
+func (m *Model) load(socket, slot int, b *Buffer, off, n int64) float64 {
 	lo, hi := off*ElemSize, (off+n)*ElemSize
 	bytes := hi - lo
 	m.counters.LoadBytes += bytes
-	if m.tracer != nil {
-		from := p.Now()
-		defer m.span(p, "load "+b.Name, from)
-	}
 	if b.Pinned {
-		p.Advance(m.pinnedTime(socket, b, bytes))
-		return
+		return m.pinnedTime(socket, b, bytes)
 	}
 	c := m.caches[socket]
 	c.curSlot = slot
@@ -325,114 +533,44 @@ func (m *Model) load(p *sim.Proc, socket, slot int, b *Buffer, off, n int64) {
 		m.counters.DRAMTraffic += wb
 		m.counters.WritebackBytes += wb
 	}
-	p.Advance(t)
+	return t
 }
 
-// Store charges a store of n elements into b at offset off. Temporal stores
-// write-allocate: misses trigger an RFO line fill (DRAM read) and leave the
-// region dirty; hits run at cache speed. Non-temporal stores bypass the
-// cache entirely and invalidate any resident copy.
-func (m *Model) Store(p *sim.Proc, core int, b *Buffer, off, n int64, kind StoreKind) {
-	m.store(p, m.coreSocket[core], m.coreSlot[core], b, off, n, kind)
-}
-
-// store is Store with the socket and cursor bank already resolved — the
-// sub-charge the fused entrypoints below share (see load on bank
-// selection). It performs exactly one p.Advance.
-func (m *Model) store(p *sim.Proc, socket, slot int, b *Buffer, off, n int64, kind StoreKind) {
-	b.CheckRange(off, n)
+// store is the store sub-charge (op is opStoreTemporal or
+// opStoreNonTemporal; see load on bank selection).
+func (m *Model) store(socket, slot int, b *Buffer, off, n int64, op stepOp) float64 {
 	lo, hi := off*ElemSize, (off+n)*ElemSize
 	bytes := hi - lo
 	m.counters.StoreBytes += bytes
-	if m.tracer != nil {
-		from := p.Now()
-		defer m.span(p, kind.String()+" store "+b.Name, from)
-	}
 	if b.Pinned {
-		p.Advance(m.pinnedTime(socket, b, bytes))
-		return
+		return m.pinnedTime(socket, b, bytes)
 	}
 	c := m.caches[socket]
 	c.curSlot = slot
-	var t float64
-	switch kind {
-	case Temporal:
-		cached := c.lookup(b.ID, lo, hi)
-		missed := bytes - cached
-		// Hit portion: store at cache speed.
-		t += m.cacheTime(socket, cached)
-		// Miss portion: RFO fill from DRAM, then the store itself hits the
-		// newly allocated lines at cache speed.
-		if missed > 0 {
-			t += m.dramTime(socket, b, missed)
-			m.counters.RFOBytes += missed
-			t += m.cacheTime(socket, missed)
-		}
-		// insert replaces any overlapped regions and marks the range dirty.
-		wb := c.insert(b.ID, lo, hi, true)
-		if wb > 0 {
-			t += float64(wb) / m.dramBWPerRank[socket]
-			m.counters.DRAMTraffic += wb
-			m.counters.WritebackBytes += wb
-		}
-	case NonTemporal:
+	if op == opStoreNonTemporal {
 		c.invalidate(b.ID, lo, hi)
-		t += m.dramTime(socket, b, bytes)
 		m.counters.NTStoreBytes += bytes
-	default:
-		panic(fmt.Sprintf("memmodel: unknown store kind %d", kind))
+		return m.dramTime(socket, b, bytes)
 	}
-	p.Advance(t)
-}
-
-// Copy charges the load+store pair of copying n elements from src[sOff] to
-// dst[dOff]: the fused per-chunk charge behind Rank.CopyElems. Fusion only
-// shares the per-call preamble (socket resolve, range decode); the two
-// sub-charges keep their own p.Advance calls with the same float operations
-// in the same order as the equivalent Load+Store sequence, and the yields
-// inside those Advances keep the same cross-proc interleaving — charged
-// times, counters and residency decisions are bit-identical.
-func (m *Model) Copy(p *sim.Proc, core int, dst *Buffer, dOff int64, src *Buffer, sOff, n int64, kind StoreKind) {
-	s, sl := m.coreSocket[core], m.coreSlot[core]
-	m.load(p, s, sl, src, sOff, n)
-	m.store(p, s, sl, dst, dOff, n, kind)
-}
-
-// Accumulate charges dst[dOff..] op= src[sOff..] over n elements: two loads,
-// one store and the arithmetic floor, fused per chunk (see Copy for the
-// determinism argument).
-func (m *Model) Accumulate(p *sim.Proc, core int, dst *Buffer, dOff int64, src *Buffer, sOff, n int64, kind StoreKind) {
-	s, sl := m.coreSocket[core], m.coreSlot[core]
-	m.load(p, s, sl, dst, dOff, n)
-	m.load(p, s, sl, src, sOff, n)
-	m.store(p, s, sl, dst, dOff, n, kind)
-	m.ReduceFloor(p, n)
-}
-
-// Combine charges out[oOff..] = op(a[aOff..], b[bOff..]) over n elements:
-// two loads, one store and the arithmetic floor, fused per chunk (see Copy
-// for the determinism argument).
-func (m *Model) Combine(p *sim.Proc, core int, out *Buffer, oOff int64, a *Buffer, aOff int64, b *Buffer, bOff, n int64, kind StoreKind) {
-	s, sl := m.coreSocket[core], m.coreSlot[core]
-	m.load(p, s, sl, a, aOff, n)
-	m.load(p, s, sl, b, bOff, n)
-	m.store(p, s, sl, out, oOff, n, kind)
-	m.ReduceFloor(p, n)
-}
-
-// CountCopyVolume adds 2*n elements worth of bytes to the copy-volume
-// counter V (one load plus one store per copied byte, paper §2.1). The
-// caller invokes it alongside the Load/Store pair of a private<->shared
-// copy.
-func (m *Model) CountCopyVolume(n int64) {
-	m.counters.CopyVolume += 2 * n * ElemSize
-}
-
-// ReduceFloor charges the arithmetic floor of reducing n elements (SIMD
-// throughput cap). Memory time is charged separately by Load/Store; the
-// floor only matters when everything is cache-resident.
-func (m *Model) ReduceFloor(p *sim.Proc, n int64) {
-	p.Advance(float64(n*ElemSize) / m.Node.ReducePerCoreBandwidth)
+	cached := c.lookup(b.ID, lo, hi)
+	missed := bytes - cached
+	// Hit portion: store at cache speed.
+	t := m.cacheTime(socket, cached)
+	// Miss portion: RFO fill from DRAM, then the store itself hits the
+	// newly allocated lines at cache speed.
+	if missed > 0 {
+		t += m.dramTime(socket, b, missed)
+		m.counters.RFOBytes += missed
+		t += m.cacheTime(socket, missed)
+	}
+	// insert replaces any overlapped regions and marks the range dirty.
+	wb := c.insert(b.ID, lo, hi, true)
+	if wb > 0 {
+		t += float64(wb) / m.dramBWPerRank[socket]
+		m.counters.DRAMTraffic += wb
+		m.counters.WritebackBytes += wb
+	}
+	return t
 }
 
 // Warm marks [off, off+n) elements of b resident (and dirty, as if the

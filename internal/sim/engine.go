@@ -17,7 +17,9 @@
 // channel handoff (which must park, lock a run queue, and re-ready the
 // goroutine, checking timers along the way). A process that is still the
 // earliest runnable one skips parking entirely and keeps executing with zero
-// switches.
+// switches. A fused operation of several sub-charges (Proc.Charge) resumes
+// its coroutine at most once: after the proc parks inside it, the loop runs
+// each remaining sub-charge itself when it pops the proc.
 //
 // The engine is the substrate for the MPI-rank runtime in internal/mpi: a
 // rank advances its clock when it performs (modelled) memory operations and
@@ -104,6 +106,10 @@ type Proc struct {
 	// none); timedOut reports whether the last blockTimeout expired.
 	timerSeq uint64
 	timedOut bool
+
+	// cont is the rest of a Charge the proc parked inside (nil otherwise).
+	// The engine loop runs it when it pops the proc (see runCont).
+	cont Charge
 }
 
 // procFault is the per-proc injected-fault state. Slowdown stretches every
@@ -159,10 +165,10 @@ func (c *InjectedCrash) Error() string {
 
 // SetSlowdown makes every subsequent Advance of this proc take factor times
 // as long in virtual time (a deterministic straggler). factor must be
-// positive; 1 restores full speed.
+// positive and finite; 1 restores full speed.
 func (p *Proc) SetSlowdown(factor float64) {
-	if factor <= 0 || math.IsNaN(factor) {
-		panic(fmt.Sprintf("sim: proc %q slowdown factor %v must be positive", p.name, factor))
+	if !(factor > 0 && factor <= math.MaxFloat64) {
+		panic(fmt.Sprintf("sim: proc %q slowdown factor %v must be positive and finite", p.name, factor))
 	}
 	if p.fault == nil {
 		p.fault = &procFault{}
@@ -197,22 +203,88 @@ func (p *Proc) Now() float64 { return p.clock }
 
 // Advance moves the process's virtual clock forward by dt seconds and yields
 // to the engine so that other processes with earlier clocks may run.
-// Negative or NaN dt panics: the cost model must never produce one.
 // An injected slowdown stretches dt; an armed stall/crash fires here.
+// A negative or non-finite dt (after the slowdown) panics: the cost model
+// must never produce one.
 func (p *Proc) Advance(dt float64) {
-	if dt < 0 || math.IsNaN(dt) {
-		panic(fmt.Sprintf("sim: proc %q advanced by invalid dt %v", p.name, dt))
-	}
 	if f := p.fault; f != nil {
 		if f.slowdown > 0 {
 			dt *= f.slowdown
 		}
-		p.clock += dt
+		p.advanceClock(dt)
 		f.maybeFire(p)
 	} else {
-		p.clock += dt
+		p.advanceClock(dt)
 	}
 	p.yield()
+}
+
+// advanceClock adds dt to the clock. It is the one validity check every
+// charged duration passes, on the proc's stack or in the engine loop: a
+// NaN clock would fire any armed stall at once and break the heap order,
+// and an infinite one would poison MaxClock.
+func (p *Proc) advanceClock(dt float64) {
+	if !(dt >= 0 && dt <= math.MaxFloat64) {
+		p.invalidDt(dt)
+	}
+	p.clock += dt
+}
+
+// invalidDt is kept out of line so that advanceClock inlines.
+//
+//go:noinline
+func (p *Proc) invalidDt(dt float64) {
+	panic(fmt.Sprintf("sim: proc %q advanced by invalid dt %v", p.name, dt))
+}
+
+// Charge is an operation made of an ordered list of sub-charges, each of
+// which updates shared model state and then takes virtual time (a fused
+// memory op: load, store, arithmetic floor). Next performs the next
+// sub-charge and returns its duration; last reports that it was the final
+// one. The engine may call Next from its own loop while the proc is parked,
+// so Next must not block, sync, touch another proc or Advance, and must not
+// panic on anything that could have been validated before the charge
+// began.
+type Charge interface {
+	Next(p *Proc) (dt float64, last bool)
+}
+
+// Charge runs c's sub-charges in order with exactly the schedule of one
+// Advance per sub-charge, while resuming the proc's coroutine at most once.
+// Sub-charges run on the proc's own stack while its clock stays within the
+// run-ahead horizon. When one leaves the clock past the horizon, the proc
+// parks, as Advance would, with the remaining sub-charges as its
+// continuation: the engine loop runs each of them when it pops the proc,
+// which is exactly when the resumed proc would have run it (see runCont).
+// The coroutine is resumed after the last one. A proc with a fault armed
+// drives every sub-charge through Advance instead, so slowdowns stretch,
+// and stalls and crashes fire between, the same sub-charges as before.
+func (p *Proc) Charge(c Charge) {
+	e := p.engine
+	for p.fault == nil {
+		dt, last := c.Next(p)
+		p.advanceClock(dt)
+		if last {
+			p.yield()
+			return
+		}
+		if p.clock > e.horizon {
+			p.cont = c
+			e.requeue(p)
+			p.suspend()
+			if p.cont == nil {
+				return // the engine ran the remaining sub-charges
+			}
+			p.cont = nil // a fault was armed meanwhile: finish through Advance
+		}
+	}
+	for {
+		dt, last := c.Next(p)
+		p.Advance(dt)
+		if last {
+			return
+		}
+	}
 }
 
 // AdvanceTo moves the clock forward to at least t (no-op if already past).
@@ -258,12 +330,18 @@ func (p *Proc) yield() {
 	if p.clock <= e.horizon {
 		return
 	}
+	e.requeue(p)
+	p.suspend()
+}
+
+// requeue parks the running proc p on the runnable heap with a fresh
+// tie-break sequence number.
+func (e *Engine) requeue(p *Proc) {
 	p.state = Ready
 	e.seqGen++
 	p.seq = e.seqGen
 	e.runnable.push(p)
 	e.updateHorizon()
-	p.suspend()
 }
 
 // blocker is something a proc can block on; it renders the proc's wait
@@ -468,17 +546,23 @@ func (p *Proc) start() {
 				if _, ok := r.(killSignal); ok {
 					return // teardown unwind: the engine owns all state
 				}
-				panic(&ProcPanic{
-					ProcID:   p.id,
-					ProcName: p.name,
-					Clock:    p.clock,
-					Value:    r,
-					Stack:    debug.Stack(),
-				})
+				panic(p.panicked(r))
 			}
 		}()
 		p.body(p)
 	})
+}
+
+// panicked attributes a panic value raised while p was running. Called
+// from a deferred recover, so the captured stack still shows the panic.
+func (p *Proc) panicked(r any) *ProcPanic {
+	return &ProcPanic{
+		ProcID:   p.id,
+		ProcName: p.name,
+		Clock:    p.clock,
+		Value:    r,
+		Stack:    debug.Stack(),
+	}
 }
 
 // Procs returns all spawned processes.
@@ -516,9 +600,14 @@ func (e *Engine) Run() error {
 	// The scheduling loop: always resume the earliest runnable proc. A
 	// proc's panic propagates out of next() onto this goroutine; snapshot
 	// the other procs' states for attribution, tear the coroutines down,
-	// then re-raise it to the caller.
+	// then re-raise it to the caller. A panic in a sub-charge the loop ran
+	// for a parked proc (charging) is attributed to that proc the same way.
+	var charging *Proc
 	defer func() {
 		if r := recover(); r != nil {
+			if charging != nil {
+				r = charging.panicked(r)
+			}
 			if pp, ok := r.(*ProcPanic); ok && pp.Snapshot == nil {
 				pp.Snapshot = e.snapshot()
 			}
@@ -565,6 +654,14 @@ func (e *Engine) Run() error {
 		p := e.runnable.pop()
 		e.updateHorizon()
 		p.state = Running
+		if p.cont != nil {
+			charging = p
+			resume := e.runCont(p)
+			charging = nil
+			if !resume {
+				continue
+			}
+		}
 		if _, alive := p.next(); !alive {
 			p.state = Done
 			e.finished++
@@ -576,6 +673,33 @@ func (e *Engine) Run() error {
 		return err
 	}
 	return nil
+}
+
+// runCont runs the remaining sub-charges of the charge p parked inside,
+// one after another, exactly as p would run them once resumed here: each
+// passes the same clock check and, when it leaves the clock past the
+// horizon, parks p again with a fresh seq, as yield would. It reports
+// whether p's coroutine must be resumed now: after the last sub-charge
+// when the clock stays within the horizon, or at once when a fault has
+// been armed on p since it parked (Charge then finishes through Advance).
+// After a last sub-charge past the horizon, p sits on the heap with no
+// continuation, and its next pop resumes the coroutine.
+func (e *Engine) runCont(p *Proc) bool {
+	for p.fault == nil {
+		dt, last := p.cont.Next(p)
+		p.advanceClock(dt)
+		if last {
+			p.cont = nil
+		}
+		if p.clock > e.horizon {
+			e.requeue(p)
+			return false
+		}
+		if last {
+			return true
+		}
+	}
+	return true
 }
 
 // terminate unwinds every unfinished proc coroutine (running its deferred

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"math/rand"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -40,6 +39,7 @@ import (
 	"yhccl/internal/plan"
 	"yhccl/internal/serve"
 	"yhccl/internal/sim"
+	"yhccl/internal/sim/micro"
 	"yhccl/internal/topo"
 	"yhccl/internal/tune"
 )
@@ -134,120 +134,6 @@ func median(xs []float64) float64 {
 	return (d[n/2-1] + d[n/2]) / 2
 }
 
-func engineYield(b *testing.B) {
-	e := sim.NewEngine()
-	n := b.N
-	e.Spawn("a", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			p.Advance(2)
-		}
-	})
-	e.Spawn("b", func(p *sim.Proc) {
-		p.Advance(1)
-		for i := 0; i < n; i++ {
-			p.Advance(2)
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func engineYieldFast(b *testing.B) {
-	e := sim.NewEngine()
-	n := b.N
-	e.Spawn("solo", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			p.Advance(1)
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func engineFlagWait(b *testing.B) {
-	e := sim.NewEngine()
-	fa, fb := sim.NewFlag("a"), sim.NewFlag("b")
-	n := b.N
-	e.Spawn("a", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			p.Advance(0.001)
-			p.Incr(fa)
-			p.Wait(fb, uint64(i+1), 0.001)
-		}
-	})
-	e.Spawn("b", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			p.Wait(fa, uint64(i+1), 0.001)
-			p.Advance(0.001)
-			p.Incr(fb)
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func engineBarrier(b *testing.B) {
-	const parties = 8
-	e := sim.NewEngine()
-	bar := sim.NewBarrier("bench", parties)
-	n := b.N
-	for i := 0; i < parties; i++ {
-		i := i
-		e.Spawn("p", func(p *sim.Proc) {
-			for j := 0; j < n; j++ {
-				p.Advance(float64(i+1) * 0.001)
-				p.Arrive(bar, 0.001)
-			}
-		})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func engineMixed(b *testing.B) {
-	const procs = 16
-	e := sim.NewEngine()
-	f := sim.NewFlag("f")
-	bar := sim.NewBarrier("bar", procs)
-	rng := rand.New(rand.NewSource(42))
-	durs := make([]float64, 1024)
-	for i := range durs {
-		durs[i] = rng.Float64() * 0.01
-	}
-	n := b.N
-	for i := 0; i < procs; i++ {
-		i := i
-		e.Spawn("p", func(p *sim.Proc) {
-			for j := 0; j < n; j++ {
-				p.Advance(durs[(i*131+j)%len(durs)])
-				if i == 0 {
-					p.Set(f, uint64(j+1))
-				} else {
-					p.Wait(f, uint64(j+1), 0.0001)
-				}
-				p.Arrive(bar, 0.0001)
-			}
-		})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // residencyInsert drives the tracker's insert path through Model.Warm
 // with a working set 4x the cache capacity, so steady state evicts on
 // every insert.
@@ -324,27 +210,6 @@ func eventPostPop(b *testing.B) {
 	}
 }
 
-// eventLockstep drives the calendar in the cluster-scale shape: 16384
-// actors in four contiguous groups step in lockstep, each dispatched event
-// re-posting its actor one group-specific step later, so the pending events
-// share a few ticks and the calendar pops them from same-tick buckets.
-func eventLockstep(b *testing.B) {
-	const actors = 1 << 14
-	e := sim.NewEventEngine()
-	for i := 0; i < actors; i++ {
-		e.Post(0, int32(i), 0)
-	}
-	n := b.N
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Run(func(now sim.Tick, actor, _ int32) {
-		if n > 0 {
-			n--
-			e.Post(now+sim.Tick(100+10*(actor>>12)), actor, 0)
-		}
-	})
-}
-
 // planLookup measures the per-call plan-table dispatch: one bucket index
 // plus an edge clamp. This is the hot path every Tuned* collective pays, so
 // it must stay O(1) with zero allocations (AllocsPerOp is asserted in CI
@@ -373,18 +238,19 @@ func planLookup(b *testing.B) {
 	_ = sink
 }
 
+// planCacheEntries is the plan count of plan_synthesize's last tuner run.
+var planCacheEntries int
+
 // planSynthesize measures one cold quick-budget tuner run at a small rank
 // count — the offline cost a `make tune -quick` pays per machine.
-func planSynthesize(count *int) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cache, err := tune.Tune(tune.Config{Node: topo.NodeA(), Ranks: 4, Quick: true, Seed: 42})
-			if err != nil {
-				b.Fatal(err)
-			}
-			*count = len(cache.Plans)
+func planSynthesize(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cache, err := tune.Tune(tune.Config{Node: topo.NodeA(), Ranks: 4, Quick: true, Seed: 42})
+		if err != nil {
+			b.Fatal(err)
 		}
+		planCacheEntries = len(cache.Plans)
 	}
 }
 
@@ -513,6 +379,35 @@ func engineCompare(verbose bool) (int, error) {
 	return len(results), nil
 }
 
+// micros is the micro-benchmark set, in run order. Its names are exactly
+// the benchmark keys of the committed BENCH_sim.json
+// (TestMicrosMatchBaseline), so -compare never passes over a micro that
+// has no baseline.
+var micros = []struct {
+	name string
+	f    func(b *testing.B)
+}{
+	{"engine_yield", micro.EngineYield},
+	{"engine_yield_fast", micro.EngineYieldFast},
+	{"engine_flag_wait", micro.EngineFlagWait},
+	{"engine_barrier", micro.EngineBarrier},
+	{"engine_mixed", micro.EngineMixed},
+	{"engine_lockstep64", micro.EngineLockstep64},
+	{"event_post_pop", eventPostPop},
+	{"event_lockstep", micro.EventLockstep},
+	{"program_event", programEngine(sim.EngineEvent)},
+	{"program_coroutine", programEngine(sim.EngineCoroutine)},
+	{"residency_insert", residencyInsert},
+	{"residency_lookup", residencyLookup},
+	{"coroutine_dpml", coroutineDPML},
+	{"plan_lookup", planLookup},
+	{"plan_synthesize", planSynthesize},
+	{"serve_admission", serveAdmission},
+	{"serve_mixed_load", serveMixedLoad},
+	{"cluster_fault_overhead", clusterFaultOverhead},
+	{"cluster_recompile", clusterRecompile},
+}
+
 func main() {
 	os.Exit(realMain())
 }
@@ -591,40 +486,18 @@ func realMain() int {
 		EngineMode: engineKind.String(),
 		Benchmarks: map[string]result{},
 	}
-	micro := []struct {
-		name string
-		f    func(b *testing.B)
-	}{
-		{"engine_yield", engineYield},
-		{"engine_yield_fast", engineYieldFast},
-		{"engine_flag_wait", engineFlagWait},
-		{"engine_barrier", engineBarrier},
-		{"engine_mixed", engineMixed},
-		{"event_post_pop", eventPostPop},
-		{"event_lockstep", eventLockstep},
-		{"program_event", programEngine(sim.EngineEvent)},
-		{"program_coroutine", programEngine(sim.EngineCoroutine)},
-		{"residency_insert", residencyInsert},
-		{"residency_lookup", residencyLookup},
-		{"coroutine_dpml", coroutineDPML},
-		{"plan_lookup", planLookup},
-		{"plan_synthesize", planSynthesize(&rep.PlanCacheEntries)},
-		{"serve_admission", serveAdmission},
-		{"serve_mixed_load", serveMixedLoad},
-		{"cluster_fault_overhead", clusterFaultOverhead},
-		{"cluster_recompile", clusterRecompile},
-	}
 	// Round-robin, so host drift during the run reaches every benchmark
 	// alike instead of landing on whichever ran last.
-	samples := make([][]testing.BenchmarkResult, len(micro))
+	samples := make([][]testing.BenchmarkResult, len(micros))
 	for range *count {
-		for i, m := range micro {
+		for i, m := range micros {
 			samples[i] = append(samples[i], run(m.name, m.f))
 		}
 	}
-	for i, m := range micro {
+	for i, m := range micros {
 		rep.Benchmarks[m.name] = summarize(samples[i])
 	}
+	rep.PlanCacheEntries = planCacheEntries
 
 	fmt.Fprintf(os.Stderr, "running engine parity matrix...\n")
 	nParity, err := engineCompare(false)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -182,5 +183,39 @@ func TestRegressionLimitFromIQR(t *testing.T) {
 	err := compareBaseline(&w, path, 0.15, reportOf(map[string]float64{"noisy": 135, "tight": 120}))
 	if err == nil || !strings.Contains(err.Error(), "noisy 35.0% slower") || !strings.Contains(err.Error(), "tight 20.0% slower") {
 		t.Fatalf("regressions beyond both limits not flagged: %v", err)
+	}
+}
+
+// TestMicrosMatchBaseline: the micro table names exactly the benchmarks of
+// the committed BENCH_sim.json. compareBaseline skips a name found on one
+// side only, so a renamed, added or dropped micro would otherwise pass
+// -compare without ever being compared.
+func TestMicrosMatchBaseline(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_sim.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base report
+	if err := json.Unmarshal(raw, &base); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, m := range micros {
+		names = append(names, m.name)
+	}
+	slices.Sort(names)
+	keys := slices.Sorted(maps.Keys(base.Benchmarks))
+	for _, n := range names {
+		if _, ok := base.Benchmarks[n]; !ok {
+			t.Errorf("micro %s has no entry in BENCH_sim.json", n)
+		}
+	}
+	for _, k := range keys {
+		if !slices.Contains(names, k) {
+			t.Errorf("BENCH_sim.json entry %s is not in the micro table", k)
+		}
+	}
+	if len(names) != len(slices.Compact(slices.Clone(names))) {
+		t.Errorf("micro table repeats a name: %v", names)
 	}
 }

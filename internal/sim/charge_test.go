@@ -117,14 +117,18 @@ func randCharge(rng *rand.Rand) progOp {
 	return op
 }
 
-// genChargeProgram builds a deadlock-free program in rounds: random charges
-// and advances, then each proc sets its own flag, may wait on its
-// neighbour's (set before any wait of that round) or on the never-set flag
-// with a timeout that expires while other procs are mid-charge, and all
-// procs meet at the barrier.
+// genChargeProgram builds a deadlock-free program of 2-64 procs in rounds:
+// random charges and advances, then each proc sets its own flag, may wait
+// on its neighbour's (set before any wait of that round) or on the
+// never-set flag with a timeout that expires while other procs are
+// mid-charge, and all procs meet at the barrier.
 func genChargeProgram(seed int64) chargeProgram {
 	rng := rand.New(rand.NewSource(seed))
-	n := 2 + rng.Intn(63)
+	return genChargeProgramN(rng, 2+rng.Intn(63))
+}
+
+// genChargeProgramN is genChargeProgram with n procs.
+func genChargeProgramN(rng *rand.Rand, n int) chargeProgram {
 	pr := chargeProgram{ops: make([][]progOp, n), flags: n + 1, straggler: -1}
 	if rng.Intn(2) == 0 {
 		pr.straggler = rng.Intn(n)
@@ -351,12 +355,12 @@ func (c *panicCharge) Next(p *Proc) (float64, bool) {
 	return 5, false
 }
 
-// TestChargePanicInEngineAttributed: a sub-charge that panics while the
-// engine runs it for a parked proc is reported as a *ProcPanic attributed
-// to that proc, and the proc's coroutine is still unwound.
-func TestChargePanicInEngineAttributed(t *testing.T) {
+// runPanicCharge runs rank3, whose charge panics in a sub-charge the engine
+// loop runs for it, beside another proc, and returns the *ProcPanic Run
+// raised and whether rank3's coroutine was unwound.
+func runPanicCharge(t *testing.T) (pp *ProcPanic, unwound bool) {
+	t.Helper()
 	e := NewEngine()
-	unwound := false
 	e.Spawn("rank3", func(p *Proc) {
 		defer func() { unwound = true }()
 		p.Charge(&panicCharge{})
@@ -366,24 +370,45 @@ func TestChargePanicInEngineAttributed(t *testing.T) {
 		p.Advance(10)
 	})
 	defer func() {
-		pp, ok := recover().(*ProcPanic)
-		if !ok {
+		var ok bool
+		if pp, ok = recover().(*ProcPanic); !ok {
 			t.Fatal("expected a *ProcPanic")
-		}
-		if pp.ProcName != "rank3" || pp.Clock != 5 || pp.Value != "boom in sub-charge" {
-			t.Errorf("attribution = %q t=%v value=%v, want rank3 t=5 boom in sub-charge", pp.ProcName, pp.Clock, pp.Value)
-		}
-		if !strings.Contains(string(pp.Stack), "panicCharge") {
-			t.Errorf("stack does not show the sub-charge:\n%s", pp.Stack)
-		}
-		if len(pp.Snapshot) != 2 {
-			t.Errorf("snapshot has %d procs, want 2", len(pp.Snapshot))
-		}
-		if !unwound {
-			t.Error("the parked proc's coroutine was not unwound")
 		}
 	}()
 	_ = e.Run()
+	return nil, false
+}
+
+// TestChargePanicInEngineAttributed: a sub-charge that panics while the
+// engine runs it for a parked proc is reported as a *ProcPanic attributed
+// to that proc, and the proc's coroutine is still unwound.
+func TestChargePanicInEngineAttributed(t *testing.T) {
+	pp, unwound := runPanicCharge(t)
+	if pp.ProcName != "rank3" || pp.Clock != 5 || pp.Value != "boom in sub-charge" {
+		t.Errorf("attribution = %q t=%v value=%v, want rank3 t=5 boom in sub-charge", pp.ProcName, pp.Clock, pp.Value)
+	}
+	if !strings.Contains(string(pp.Stack), "panicCharge") {
+		t.Errorf("stack does not show the sub-charge:\n%s", pp.Stack)
+	}
+	if len(pp.Snapshot) != 2 {
+		t.Errorf("snapshot has %d procs, want 2", len(pp.Snapshot))
+	}
+	if !unwound {
+		t.Error("the parked proc's coroutine was not unwound")
+	}
+}
+
+// TestChargePanicSnapshotShowsRunning: the proc whose sub-charge the loop
+// was running when it panicked is the running proc in the snapshot, though
+// it never left its run-queue leaf.
+func TestChargePanicSnapshotShowsRunning(t *testing.T) {
+	pp, _ := runPanicCharge(t)
+	want := []State{Running, Ready}
+	for i, st := range pp.Snapshot {
+		if st.State != want[i] {
+			t.Errorf("snapshot %s state %s, want %s", st.Name, st.State, want[i])
+		}
+	}
 }
 
 // infCharge returns an infinite duration from its second sub-charge.

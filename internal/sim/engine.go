@@ -19,7 +19,12 @@
 // earliest runnable one skips parking entirely and keeps executing with zero
 // switches. A fused operation of several sub-charges (Proc.Charge) resumes
 // its coroutine at most once: after the proc parks inside it, the loop runs
-// each remaining sub-charge itself when it pops the proc.
+// each remaining sub-charge itself when the proc reaches the front.
+//
+// The runnable procs wait in a tournament tree ordered by (clock, seq), with
+// one leaf per proc. Parking or unparking a proc replays its leaf's path to
+// the root, one branch-free comparison per level; a proc whose sub-charge
+// the loop runs stays at its leaf, so re-parking it costs one replay.
 //
 // The engine is the substrate for the MPI-rank runtime in internal/mpi: a
 // rank advances its clock when it performs (modelled) memory operations and
@@ -30,6 +35,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"math/bits"
 	"runtime/debug"
 	"strings"
 )
@@ -93,10 +99,6 @@ type Proc struct {
 	// human-readable description is built only if a deadlock is reported,
 	// so the block hot path does no formatting or allocation.
 	blockedOn blocker
-	heapIndex int // position in the runnable heap, -1 when off-heap
-
-	// seq breaks clock ties deterministically (FIFO by last-yield order).
-	seq uint64
 
 	// fault carries injected fault state (nil in healthy runs, so the
 	// Advance hot path pays a single pointer compare).
@@ -108,7 +110,8 @@ type Proc struct {
 	timedOut bool
 
 	// cont is the rest of a Charge the proc parked inside (nil otherwise).
-	// The engine loop runs it when it pops the proc (see runCont).
+	// The engine loop runs it when the proc reaches the front of the run
+	// queue (see runCont).
 	cont Charge
 }
 
@@ -219,22 +222,33 @@ func (p *Proc) Advance(dt float64) {
 	p.yield()
 }
 
-// advanceClock adds dt to the clock. It is the one validity check every
-// charged duration passes, on the proc's stack or in the engine loop: a
-// NaN clock would fire any armed stall at once and break the heap order,
-// and an infinite one would poison MaxClock.
+// advanceClock adds dt to the clock. Every charged duration passes its
+// check, on the proc's stack or in the engine loop: dt and the new clock
+// must be finite and non-negative. A NaN clock would fire any armed stall
+// at once, and a NaN, negative or infinite one would break the run queue's
+// key order (see runKey) and poison MaxClock.
 func (p *Proc) advanceClock(dt float64) {
-	if !(dt >= 0 && dt <= math.MaxFloat64) {
-		p.invalidDt(dt)
+	if !(dt >= 0 && p.clock+dt <= math.MaxFloat64) {
+		p.invalidTime("dt", dt)
 	}
 	p.clock += dt
 }
 
-// invalidDt is kept out of line so that advanceClock inlines.
+// checkTime is the validity check of every time and duration the engine
+// is handed (a latency, a timeout, a deadline, an AdvanceTo target): t
+// must be finite and non-negative, so that every clock stays so.
+func (p *Proc) checkTime(what string, t float64) {
+	if !(t >= 0 && t <= math.MaxFloat64) {
+		p.invalidTime(what, t)
+	}
+}
+
+// invalidTime is kept out of line so that advanceClock and checkTime
+// inline.
 //
 //go:noinline
-func (p *Proc) invalidDt(dt float64) {
-	panic(fmt.Sprintf("sim: proc %q advanced by invalid dt %v", p.name, dt))
+func (p *Proc) invalidTime(what string, t float64) {
+	panic(fmt.Sprintf("sim: proc %q at t=%g: invalid %s %v", p.name, p.clock, what, t))
 }
 
 // Charge is an operation made of an ordered list of sub-charges, each of
@@ -288,7 +302,9 @@ func (p *Proc) Charge(c Charge) {
 }
 
 // AdvanceTo moves the clock forward to at least t (no-op if already past).
+// A negative or non-finite t panics.
 func (p *Proc) AdvanceTo(t float64) {
+	p.checkTime("time", t)
 	if t > p.clock {
 		p.clock = t
 	}
@@ -316,15 +332,14 @@ func (p *Proc) Yield() { p.yield() }
 // every runnable proc, in which case parking would only buy an immediate
 // resume. The run-ahead test compares against e.horizon, the cached clock
 // of the earliest runnable proc: within the window the op completes with a
-// single float comparison — no heap peek, no coroutine switch. The cache
-// cannot go stale inside the window because exactly one proc executes at a
-// time, so the heap only changes through this proc's own actions (which
-// refresh it). Skipping the switch preserves virtual-time order exactly: we
-// only keep running while no runnable proc has an earlier clock. When one
-// does, this proc re-enters the runnable heap (its key is larger than
-// everything there, so the sift-up is a single comparison) and suspends to
-// the engine loop, which resumes the heap minimum — the same proc the old
-// root held, since p cannot be the minimum.
+// single float comparison — no run-queue access, no coroutine switch. The
+// cache cannot go stale inside the window because exactly one proc executes
+// at a time, so the run queue only changes through this proc's own actions
+// (which refresh it). Skipping the switch preserves virtual-time order
+// exactly: we only keep running while no runnable proc has an earlier
+// clock. When one does, this proc re-enters the run queue and suspends to
+// the engine loop, which resumes the front of the queue: the proc that led
+// it before, since p cannot lead a queue whose front has an earlier clock.
 func (p *Proc) yield() {
 	e := p.engine
 	if p.clock <= e.horizon {
@@ -334,13 +349,13 @@ func (p *Proc) yield() {
 	p.suspend()
 }
 
-// requeue parks the running proc p on the runnable heap with a fresh
-// tie-break sequence number.
+// requeue parks p on the run queue with a fresh tie-break sequence number:
+// its leaf takes the key (clock, seq), one replay places it, and the
+// horizon is refreshed. Clock ties therefore break FIFO by park order.
 func (e *Engine) requeue(p *Proc) {
 	p.state = Ready
 	e.seqGen++
-	p.seq = e.seqGen
-	e.runnable.push(p)
+	e.runq.set(p.id, p.clock, e.seqGen)
 	e.updateHorizon()
 }
 
@@ -409,12 +424,15 @@ func (p *Proc) suspend() {
 	p.state = Running
 }
 
-// unblock marks a blocked proc runnable, raising its clock to at least t.
-// Must be called from the currently running proc (or the engine).
+// unblock marks a blocked proc runnable, raising its clock to at least t
+// (a release time: a flag's set time plus the waiter's latency, a barrier's
+// release, or a timer's deadline). Must be called from the currently
+// running proc (or the engine).
 func (p *Proc) unblock(t float64) {
 	if p.state != Blocked {
 		panic(fmt.Sprintf("sim: unblock of proc %q in state %s", p.name, p.state))
 	}
+	p.checkTime("release time", t)
 	if t > p.clock {
 		p.clock = t
 	}
@@ -441,15 +459,15 @@ const DefaultWatchdogSwitches = 2 << 20
 // Engine owns a set of Procs and schedules them in virtual-time order.
 type Engine struct {
 	procs    []*Proc
-	runnable procHeap
+	runq     runQueue
 	started  bool
 	finished int
 	seqGen   uint64
 
-	// horizon caches the clock of the runnable heap's minimum (+Inf when
-	// the heap is empty), folded with the earliest pending timer deadline:
+	// horizon caches the clock of the run queue's front (+Inf when the
+	// queue is empty), folded with the earliest pending timer deadline:
 	// the virtual time up to which the running proc may advance without
-	// yielding. Every heap or timer mutation refreshes it via
+	// yielding. Every run-queue or timer mutation refreshes it via
 	// updateHorizon, so the per-op yield check is one comparison.
 	horizon float64
 
@@ -497,13 +515,11 @@ func (e *Engine) earliestTimer() int {
 	return best
 }
 
-// updateHorizon re-derives the run-ahead horizon from the heap minimum and
-// the earliest timer deadline. Called after every heap or timer mutation.
+// updateHorizon re-derives the run-ahead horizon from the run queue's front
+// and the earliest timer deadline. Called after every run-queue or timer
+// mutation.
 func (e *Engine) updateHorizon() {
-	h := math.Inf(1)
-	if len(e.runnable) > 0 {
-		h = e.runnable[0].clock
-	}
+	_, h := e.runq.top()
 	if len(e.timers) > 0 {
 		if t := e.timers[e.earliestTimer()].deadline; t < h {
 			h = t
@@ -519,12 +535,11 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 		panic("sim: Spawn after Run")
 	}
 	p := &Proc{
-		id:        len(e.procs),
-		name:      name,
-		engine:    e,
-		body:      body,
-		state:     Ready,
-		heapIndex: -1,
+		id:     len(e.procs),
+		name:   name,
+		engine: e,
+		body:   body,
+		state:  Ready,
 	}
 	e.procs = append(e.procs, p)
 	return p
@@ -568,17 +583,14 @@ func (p *Proc) panicked(r any) *ProcPanic {
 // Procs returns all spawned processes.
 func (e *Engine) Procs() []*Proc { return e.procs }
 
-// makeRunnable pushes p onto the runnable heap with a fresh tie-break
-// sequence number. Double-pushing a proc would corrupt the schedule, so an
-// on-heap proc (heapIndex >= 0) is rejected loudly.
+// makeRunnable queues p with a fresh tie-break sequence number. Pushing a
+// proc that is already queued would lose its key, so it is rejected
+// loudly.
 func (e *Engine) makeRunnable(p *Proc) {
-	if p.heapIndex != -1 {
-		panic(fmt.Sprintf("sim: proc %q pushed onto runnable heap twice (index %d)", p.name, p.heapIndex))
+	if e.runq.queued(p.id) {
+		panic(fmt.Sprintf("sim: proc %q pushed onto the run queue twice", p.name))
 	}
-	e.seqGen++
-	p.seq = e.seqGen
-	e.runnable.push(p)
-	e.updateHorizon()
+	e.requeue(p)
 }
 
 // Run executes all processes to completion in virtual-time order.
@@ -593,6 +605,7 @@ func (e *Engine) Run() error {
 		return fmt.Errorf("sim: engine already ran")
 	}
 	e.started = true
+	e.runq.reset(len(e.procs))
 	for _, p := range e.procs {
 		p.start()
 		e.makeRunnable(p)
@@ -618,9 +631,11 @@ func (e *Engine) Run() error {
 	for {
 		// A bounded wait whose deadline precedes every runnable proc's
 		// clock expires now: the waiter resumes at exactly its deadline.
+		// (An empty queue's front clock is +Inf, and deadlines are finite.)
+		leaf, front := e.runq.top()
 		if i := e.earliestTimer(); i >= 0 {
 			tm := e.timers[i]
-			if len(e.runnable) == 0 || tm.deadline < e.runnable[0].clock {
+			if tm.deadline < front {
 				e.timers[i] = e.timers[len(e.timers)-1]
 				e.timers = e.timers[:len(e.timers)-1]
 				if tm.p.state == Blocked && tm.p.timerSeq == tm.seq {
@@ -634,12 +649,12 @@ func (e *Engine) Run() error {
 				continue
 			}
 		}
-		if len(e.runnable) == 0 {
+		if !e.runq.queued(leaf) {
 			break
 		}
 		if e.watchdog > 0 {
-			if min := e.runnable[0].clock; min > e.lastMin {
-				e.lastMin = min
+			if front > e.lastMin {
+				e.lastMin = front
 				e.idleSwitches = 0
 			} else if e.idleSwitches++; e.idleSwitches >= e.watchdog {
 				err := &LivelockError{
@@ -651,8 +666,7 @@ func (e *Engine) Run() error {
 				return err
 			}
 		}
-		p := e.runnable.pop()
-		e.updateHorizon()
+		p := e.procs[leaf]
 		p.state = Running
 		if p.cont != nil {
 			charging = p
@@ -661,6 +675,8 @@ func (e *Engine) Run() error {
 			if !resume {
 				continue
 			}
+		} else {
+			e.dequeue(p)
 		}
 		if _, alive := p.next(); !alive {
 			p.state = Done
@@ -675,15 +691,33 @@ func (e *Engine) Run() error {
 	return nil
 }
 
+// dequeue takes p, the front of the run queue, off the queue to run it.
+func (e *Engine) dequeue(p *Proc) {
+	e.runq.remove(p.id)
+	e.updateHorizon()
+}
+
 // runCont runs the remaining sub-charges of the charge p parked inside,
 // one after another, exactly as p would run them once resumed here: each
 // passes the same clock check and, when it leaves the clock past the
-// horizon, parks p again with a fresh seq, as yield would. It reports
-// whether p's coroutine must be resumed now: after the last sub-charge
-// when the clock stays within the horizon, or at once when a fault has
-// been armed on p since it parked (Charge then finishes through Advance).
-// After a last sub-charge past the horizon, p sits on the heap with no
-// continuation, and its next pop resumes the coroutine.
+// horizon, parks p again with a fresh seq, as yield would.
+//
+// p stays at its leaf meanwhile. After each sub-charge one replay re-keys
+// the leaf with p's new clock and the seq a re-park would give it, and the
+// horizon is re-derived from the new front, folded with the timers as
+// usual. When another proc leads, its key precedes p's, so its clock is
+// the others' earliest and at most p's: p continues only on a tie. When p
+// still leads, its clock is below every other proc's and only a timer can
+// stop it. Either way that is yield's test against the queue without p.
+// Past the horizon the seq is committed and p is already parked; within
+// it the seq stays unused.
+//
+// runCont reports whether p's coroutine must be resumed now, p then being
+// off the queue: after the last sub-charge when the clock stays within the
+// horizon, or at once when a fault has been armed on p since it parked
+// (Charge then finishes through Advance). After a last sub-charge past the
+// horizon, p waits in the queue with no continuation, and its next turn
+// resumes the coroutine.
 func (e *Engine) runCont(p *Proc) bool {
 	for p.fault == nil {
 		dt, last := p.cont.Next(p)
@@ -691,14 +725,18 @@ func (e *Engine) runCont(p *Proc) bool {
 		if last {
 			p.cont = nil
 		}
+		e.runq.set(p.id, p.clock, e.seqGen+1)
+		e.updateHorizon()
 		if p.clock > e.horizon {
-			e.requeue(p)
+			e.seqGen++
+			p.state = Ready
 			return false
 		}
 		if last {
-			return true
+			break
 		}
 	}
+	e.dequeue(p)
 	return true
 }
 
@@ -836,91 +874,92 @@ func (e *Engine) MaxClock() float64 {
 	return max
 }
 
-// procHeap is a 4-ary min-heap of procs ordered by (clock, seq). It is a
-// concrete implementation (no container/heap interface dispatch) because
-// push/pop sit on the per-switch hot path, and 4-ary rather than binary
-// because pop's sift-down is bounded by tree depth, which a branching
-// factor of 4 halves (a 16-proc machine sifts through 2 levels, not 4).
-// The (clock, seq) key is copied into the entry at push time so sift
-// compares read contiguous memory instead of chasing Proc pointers; the
-// copy is safe because a parked proc's clock and seq are frozen until it
-// leaves the heap. The key is a strict total order — seq values are unique
-// — so the pop sequence is fully determined by the heap's contents, never
-// by its internal layout or arity.
-type heapEntry struct {
-	clock float64
-	seq   uint64
-	p     *Proc
+// runQueue holds the runnable procs: a tournament (winner) tree ordered by
+// (clock, seq). Leaf i is proc i; it holds the proc's key while the proc is
+// queued and idleKey otherwise. Node j (1 <= j < len(keys)) holds the leaf
+// that wins the subtree below it, and node len(keys)+i is leaf i itself, so
+// the root, node 1, is the earliest runnable proc. A key change replays
+// one leaf's path to the root with one comparison against the sibling
+// subtree's winner per level: 6 levels for 64 procs, 10 for 1024. The key
+// is a strict total order among queued procs (seq values are unique), so
+// the front is fully determined by the queued keys, never by the tree's
+// history. The tree is sized once, when the run starts.
+type runQueue struct {
+	keys []runKey // by leaf; a power of two long, leaves past the last proc idle
+	win  []uint32 // winning leaf by node; win[0] is unused
 }
 
-type procHeap []heapEntry
+// runKey is a proc's scheduling key. The clock is stored as its IEEE-754
+// bits: every clock the engine holds is finite and non-negative (clocks
+// start at +0 and only grow, by durations and to times that advanceClock
+// and checkTime have accepted), and on such values the bits, read as an
+// unsigned integer, order exactly as the floats do. So one 128-bit integer
+// comparison orders (clock, seq), and the +Inf clock no proc can hold
+// marks an idle leaf that every queued key precedes.
+type runKey struct{ clock, seq uint64 }
 
-func (h procHeap) less(i, j int) bool {
-	if h[i].clock != h[j].clock {
-		return h[i].clock < h[j].clock
+var (
+	idleClock = math.Float64bits(math.Inf(1))
+	idleKey   = runKey{clock: idleClock, seq: math.MaxUint64}
+)
+
+// reset sizes the tree for n procs, all idle.
+func (q *runQueue) reset(n int) {
+	size := 1
+	for size < n {
+		size *= 2
 	}
-	return h[i].seq < h[j].seq
-}
-
-func (h procHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].p.heapIndex = i
-	h[j].p.heapIndex = j
-}
-
-func (h procHeap) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !h.less(i, parent) {
-			break
-		}
-		h.swap(i, parent)
-		i = parent
+	q.keys = make([]runKey, size)
+	q.win = make([]uint32, 2*size)
+	for i := range q.keys {
+		q.keys[i] = idleKey
+		q.win[size+i] = uint32(i)
 	}
-}
-
-func (h procHeap) siftDown(i int) {
-	n := len(h)
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		m := first
-		for c := first + 1; c < last; c++ {
-			if h.less(c, m) {
-				m = c
-			}
-		}
-		if !h.less(m, i) {
-			break
-		}
-		h.swap(i, m)
-		i = m
+	for j := size - 1; j > 0; j-- {
+		q.win[j] = q.win[2*j]
 	}
 }
 
-// push adds p to the heap.
-func (h *procHeap) push(p *Proc) {
-	p.heapIndex = len(*h)
-	*h = append(*h, heapEntry{clock: p.clock, seq: p.seq, p: p})
-	h.siftUp(p.heapIndex)
+// top returns the leaf at the front of the queue and its clock, which is
+// +Inf when nothing is queued.
+func (q *runQueue) top() (leaf int, clock float64) {
+	w := q.win[1]
+	return int(w), math.Float64frombits(q.keys[w].clock)
 }
 
-// pop removes and returns the earliest proc.
-func (h *procHeap) pop() *Proc {
-	old := *h
-	p := old[0].p
-	n := len(old) - 1
-	old[0] = old[n]
-	old[0].p.heapIndex = 0
-	old[n] = heapEntry{}
-	*h = old[:n]
-	h.siftDown(0)
-	p.heapIndex = -1
-	return p
+// queued reports whether leaf i's proc is in the queue.
+func (q *runQueue) queued(i int) bool { return q.keys[i].clock != idleClock }
+
+// set queues leaf i's proc with key (clock, seq), or re-keys it.
+func (q *runQueue) set(i int, clock float64, seq uint64) {
+	q.keys[i] = runKey{clock: math.Float64bits(clock), seq: seq}
+	q.replay(i)
+}
+
+// remove takes leaf i's proc off the queue.
+func (q *runQueue) remove(i int) {
+	q.keys[i] = idleKey
+	q.replay(i)
+}
+
+// replay recomputes the winners on leaf i's path to the root. Each level
+// compares the path's winner so far with the sibling subtree's winner
+// without a branch: the borrow out of the 128-bit subtraction
+// (clock, seq) - (clock', seq') is 1 exactly when the first key is
+// smaller, and its negation is the mask that selects the winner's leaf
+// and key.
+func (q *runQueue) replay(i int) {
+	keys, win := q.keys, q.win
+	w, k := uint64(i), keys[i]
+	for n := len(keys) + i; n > 1; n >>= 1 {
+		o := uint64(win[n^1])
+		ko := keys[o]
+		_, b := bits.Sub64(k.seq, ko.seq, 0)
+		_, b = bits.Sub64(k.clock, ko.clock, b)
+		m := -b
+		w = o ^ (w^o)&m
+		k.clock = ko.clock ^ (k.clock^ko.clock)&m
+		k.seq = ko.seq ^ (k.seq^ko.seq)&m
+		win[n>>1] = uint32(w)
+	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -461,33 +462,45 @@ func waitForGoroutines(t *testing.T, baseline int) {
 	t.Fatalf("goroutines leaked: %d now vs %d before", runtime.NumGoroutine(), baseline)
 }
 
-func TestHeapIndexResetOnPop(t *testing.T) {
-	// Popped procs must not keep a stale heap index: makeRunnable relies on
-	// heapIndex == -1 to reject double-pushes.
+// TestRemovedProcMayBePushedAgain: a proc taken off the run queue is off
+// it, so pushing it again is allowed, while pushing a proc that is still
+// queued panics.
+func TestRemovedProcMayBePushedAgain(t *testing.T) {
 	e := NewEngine()
 	ps := make([]*Proc, 5)
 	for i := range ps {
-		ps[i] = &Proc{id: i, name: "p", engine: e, heapIndex: -1, clock: float64(5 - i)}
+		ps[i] = e.Spawn(fmt.Sprintf("p%d", i), func(*Proc) {})
+		ps[i].clock = float64(5 - i)
 	}
+	e.runq.reset(len(ps))
 	for _, p := range ps {
 		e.makeRunnable(p)
 	}
-	for i := 0; i < len(ps); i++ {
-		p := e.runnable.pop()
-		if p.heapIndex != -1 {
-			t.Fatalf("popped proc %q has stale heapIndex %d, want -1", p.name, p.heapIndex)
+	for i := len(ps) - 1; i >= 0; i-- {
+		leaf, _ := e.runq.top()
+		if p := e.procs[leaf]; p != ps[i] {
+			t.Fatalf("front is %q, want %q", p.name, ps[i].name)
+		}
+		e.dequeue(ps[i])
+		if e.runq.queued(ps[i].id) {
+			t.Fatalf("removed proc %q is still queued", ps[i].name)
+		}
+		for _, q := range ps[:i] {
+			mustPanic(t, "twice", func() { e.makeRunnable(q) })
+		}
+	}
+	for _, p := range ps {
+		e.makeRunnable(p)
+		if !e.runq.queued(p.id) {
+			t.Fatalf("re-pushed proc %q is not queued", p.name)
 		}
 	}
 }
 
 func TestDoublePushPanics(t *testing.T) {
 	e := NewEngine()
-	p := &Proc{name: "p", engine: e, heapIndex: -1}
+	p := e.Spawn("p", func(*Proc) {})
+	e.runq.reset(1)
 	e.makeRunnable(p)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on double push")
-		}
-	}()
-	e.makeRunnable(p)
+	mustPanic(t, "pushed onto the run queue twice", func() { e.makeRunnable(p) })
 }

@@ -253,24 +253,3 @@ func BenchmarkEventPostPop(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkEventLockstep is the cluster-scale shape: 16384 actors in four
-// contiguous groups step in lockstep, each dispatched event re-posting its
-// actor one group-specific step later, so the pending events share a few
-// ticks.
-func BenchmarkEventLockstep(b *testing.B) {
-	const actors = 1 << 14
-	e := NewEventEngine()
-	for i := 0; i < actors; i++ {
-		e.Post(0, int32(i), 0)
-	}
-	n := b.N
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Run(func(now Tick, actor, _ int32) {
-		if n > 0 {
-			n--
-			e.Post(now+Tick(100+10*(actor>>12)), actor, 0)
-		}
-	})
-}

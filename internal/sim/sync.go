@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Flag is a monotonically increasing synchronization cell, modelling the
 // atomic "flag held by each process" that shared-memory collectives use to
@@ -59,8 +56,10 @@ func (p *Proc) Incr(f *Flag) { p.Set(f, f.val+1) }
 // the flag (0 if the flag was already set — the waiter still pays latency,
 // modelling the load of the remote flag line). A wait on an already
 // satisfied flag never parks: it costs one Advance, which inside the
-// engine's run-ahead window is a single comparison.
+// engine's run-ahead window is a single comparison. A negative or
+// non-finite latency panics.
 func (p *Proc) Wait(f *Flag, v uint64, latency float64) {
+	p.checkTime("flag latency", latency)
 	if f.val >= v {
 		// Flag already set: pay only the flag-line load.
 		p.Advance(latency)
@@ -74,17 +73,20 @@ func (p *Proc) Wait(f *Flag, v uint64, latency float64) {
 // seconds: instead of hanging forever on a flag that never reaches v, the
 // waiter resumes at exactly the deadline and WaitTimeout reports false.
 // The timeout is a discrete virtual-time event, so bounded waits replay
-// deterministically; there is no wall-clock involvement.
+// deterministically; there is no wall-clock involvement. A negative or
+// non-finite latency or timeout panics, as does a deadline past the float
+// range.
 func (p *Proc) WaitTimeout(f *Flag, v uint64, latency, timeout float64) bool {
-	if timeout < 0 || math.IsNaN(timeout) {
-		panic(fmt.Sprintf("sim: flag %q wait with invalid timeout %v", f.name, timeout))
-	}
+	p.checkTime("flag latency", latency)
+	p.checkTime("timeout", timeout)
+	deadline := p.clock + timeout
+	p.checkTime("deadline", deadline)
 	if f.val >= v {
 		p.Advance(latency)
 		return true
 	}
 	f.waiters = append(f.waiters, flagWaiter{p: p, threshold: v, latency: latency})
-	return !p.blockTimeout(f, p.clock+timeout)
+	return !p.blockTimeout(f, deadline)
 }
 
 // cancelWait drops p from the waiter list when its bounded wait expires, so
@@ -137,7 +139,9 @@ func (b *Barrier) Epoch() uint64 { return b.epoch }
 // Arrive blocks p until all parties have arrived. Every participant leaves
 // with its clock set to max(arrival clocks) + latency, modelling a
 // tree/flag-based barrier whose cost is folded into latency by the caller.
+// A negative or non-finite latency panics.
 func (p *Proc) Arrive(b *Barrier, latency float64) {
+	p.checkTime("barrier latency", latency)
 	if p.clock > b.maxTime {
 		b.maxTime = p.clock
 	}

@@ -11,6 +11,7 @@ package topo
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // CacheLine is the cache line size in bytes, shared by every modelled CPU.
@@ -98,8 +99,8 @@ func (n *Node) Validate() error {
 		return errors.New("topo: bandwidths must be positive")
 	case n.CrossSocketFactor <= 0 || n.CrossSocketFactor > 1:
 		return errors.New("topo: CrossSocketFactor must be in (0,1]")
-	case n.SyncLatencyIntra <= 0 || n.SyncLatencyInter < n.SyncLatencyIntra:
-		return errors.New("topo: sync latencies must satisfy 0 < intra <= inter")
+	case !(n.SyncLatencyIntra > 0 && n.SyncLatencyInter >= n.SyncLatencyIntra && n.SyncLatencyInter <= math.MaxFloat64):
+		return errors.New("topo: sync latencies must be finite and satisfy 0 < intra <= inter")
 	case n.ReducePerCoreBandwidth <= 0:
 		return errors.New("topo: ReducePerCoreBandwidth must be positive")
 	}

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -104,6 +105,9 @@ func TestValidateCatchesBadNodes(t *testing.T) {
 		mod(func(n *Node) { n.CrossSocketFactor = 1.5 }),
 		mod(func(n *Node) { n.SyncLatencyIntra = 0 }),
 		mod(func(n *Node) { n.SyncLatencyInter = n.SyncLatencyIntra / 2 }),
+		mod(func(n *Node) { n.SyncLatencyIntra = math.NaN() }),
+		mod(func(n *Node) { n.SyncLatencyInter = math.NaN() }),
+		mod(func(n *Node) { n.SyncLatencyInter = math.Inf(1) }),
 		mod(func(n *Node) { n.ReducePerCoreBandwidth = 0 }),
 	}
 	for i, n := range bad {

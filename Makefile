@@ -34,8 +34,10 @@ test-race:
 # Backwards-compatible alias for test-race.
 race: test-race
 
+# vet also fails on any Go file gofmt would change, listing the files.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l: unformatted Go files:"; echo "$$unformatted"; exit 1; fi
 
 # Fault-injection sweep: every collective x fault plan runs under the
 # resilient supervisor. Each first attempt must finish clean, fail with a

@@ -61,7 +61,7 @@ type report struct {
 	GOOS               string            `json:"goos"`
 	GOARCH             string            `json:"goarch"`
 	NumCPU             int               `json:"num_cpu"`
-	EngineMode         string            `json:"engine_mode"`
+	GOMAXPROCS         int               `json:"gomaxprocs"`
 	EngineParityCases  int               `json:"engine_parity_cases,omitempty"`
 	Benchmarks         map[string]result `json:"benchmarks"`
 	PlanCacheEntries   int               `json:"plan_cache_entries,omitempty"`
@@ -134,10 +134,10 @@ func median(xs []float64) float64 {
 	return (d[n/2-1] + d[n/2]) / 2
 }
 
-// residencyInsert drives the tracker's insert path through Model.Warm
+// modelWarm drives the residency tracker's insert path through Model.Warm
 // with a working set 4x the cache capacity, so steady state evicts on
 // every insert.
-func residencyInsert(b *testing.B) {
+func modelWarm(b *testing.B) {
 	node := topo.NodeA()
 	m := memmodel.New(node, []int{0})
 	pages := 4 * node.L3PerSocket / 4096
@@ -150,9 +150,9 @@ func residencyInsert(b *testing.B) {
 	}
 }
 
-// residencyLookup measures Model.Load of fully-resident data on a
-// running sim proc — the per-chunk hot path of every collective.
-func residencyLookup(b *testing.B) {
+// modelLoad measures Model.Load of fully-resident data on a running sim
+// proc — the per-chunk hot path of every collective.
+func modelLoad(b *testing.B) {
 	node := topo.NodeA()
 	m := memmodel.New(node, []int{0})
 	const span = 1 << 20
@@ -397,8 +397,8 @@ var micros = []struct {
 	{"event_lockstep", micro.EventLockstep},
 	{"program_event", programEngine(sim.EngineEvent)},
 	{"program_coroutine", programEngine(sim.EngineCoroutine)},
-	{"residency_insert", residencyInsert},
-	{"residency_lookup", residencyLookup},
+	{"model_warm", modelWarm},
+	{"model_load", modelLoad},
 	{"coroutine_dpml", coroutineDPML},
 	{"plan_lookup", planLookup},
 	{"plan_synthesize", planSynthesize},
@@ -422,16 +422,10 @@ func realMain() int {
 		count     = flag.Int("count", 1, "run the micro-benchmark set this many times round-robin and report per-benchmark medians, minima and IQRs")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		engine    = flag.String("engine", "event", "engine recorded as the report's mode: coroutine or event")
 		engCmp    = flag.Bool("engine-compare", false, "run the engine parity matrix (both engines, all shared configs) and exit; nonzero on divergence")
 	)
 	flag.Parse()
 
-	engineKind, err := sim.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simbench:", err)
-		return 1
-	}
 	if *count < 1 {
 		fmt.Fprintln(os.Stderr, "simbench: -count must be at least 1")
 		return 1
@@ -483,7 +477,7 @@ func realMain() int {
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
-		EngineMode: engineKind.String(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Benchmarks: map[string]result{},
 	}
 	// Round-robin, so host drift during the run reaches every benchmark

@@ -10,8 +10,7 @@
 //	yhcclbench -exp all -csv out/    # also write out/<id>.csv per experiment
 //	yhcclbench -exp fig9a -cpuprofile cpu.prof
 //	yhcclbench -chaos-recover        # supervised fault-injection sweep (exit 1 on gate violation)
-//	yhcclbench -exp fig16scale -engine event
-//	                                 # cluster-scale sweep on the event engine
+//	yhcclbench -exp fig16scale       # cluster-scale sweep on the event engine
 //	yhcclbench -scale-gate           # 65536+ rank smoke under wall/memory budgets (exit 1 on violation)
 //	yhcclbench -tune -node NodeA -p 64
 //	                                 # synthesize the tuned-plan cache into plans/
@@ -41,7 +40,6 @@ import (
 
 	"yhccl/internal/bench"
 	"yhccl/internal/chaos"
-	"yhccl/internal/sim"
 )
 
 func main() {
@@ -53,7 +51,6 @@ func main() {
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		recoverF = flag.Bool("chaos-recover", false, "run the fault-injection sweep under the resilient supervisor and exit (nonzero on any recovery-gate violation)")
-		engine   = flag.String("engine", "", "simulation core for scale experiments: coroutine or event (default event)")
 		scaleF   = flag.Bool("scale-gate", false, "run the cluster-scale smoke gate and exit (nonzero on any budget violation)")
 		tuneF    = flag.Bool("tune", false, "synthesize the tuned-plan cache for -node/-p and exit")
 		verifyF  = flag.Bool("plan-verify", false, "verify the tuned-plan cache beats or matches every figure baseline and exit (nonzero on regression)")
@@ -134,13 +131,6 @@ func main() {
 		return
 	}
 
-	if *engine != "" {
-		kind, err := sim.ParseEngine(*engine)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		bench.SetEngine(kind)
-	}
 	if *scaleF {
 		if err := bench.ScaleGate(os.Stdout); err != nil {
 			fatalf("%v", err)

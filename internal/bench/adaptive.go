@@ -100,4 +100,3 @@ func PredictedSwitchBytes(node *topo.Node, p int) int64 {
 	m := int64(node.Sockets)
 	return (C - m*int64(p)*imax) / (2 * int64(p))
 }
-

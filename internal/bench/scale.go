@@ -16,23 +16,6 @@ import (
 // memory footprints measured (not asserted) so the flat-memory claim is
 // checkable in CI.
 
-// engineKind is the simulation core scale experiments run on. The event
-// engine is the default — it is what makes 262144+ rank worlds fit; the
-// coroutine engine can be selected (yhcclbench -engine) for crossover
-// studies but caps the world size it will attempt.
-var engineKind = sim.EngineEvent
-
-// SetEngine selects the engine scale experiments run on.
-func SetEngine(k sim.EngineKind) { engineKind = k }
-
-// Engine returns the currently selected scale engine.
-func Engine() sim.EngineKind { return engineKind }
-
-// coroutineRankCap bounds worlds the coroutine engine is asked to hold: one
-// goroutine stack (8 KB+) per rank makes half-million-rank worlds
-// pointlessly painful; that regime belongs to the event engine.
-const coroutineRankCap = 65536
-
 // Footprint is one measured scale run.
 type Footprint struct {
 	Ranks           int
@@ -44,8 +27,8 @@ type Footprint struct {
 	GoroutineDelta  int
 }
 
-// measureScale compiles one collective, executes it on the selected engine
-// and measures the run's allocation and goroutine footprint via
+// measureScale compiles one collective, executes it on the event engine and
+// measures the run's allocation and goroutine footprint via
 // runtime.ReadMemStats deltas.
 func measureScale(c *cluster.Cluster, alg cluster.Algorithm, n int64, o cluster.ScheduleOptions) (Footprint, error) {
 	prog, err := c.CompileAllreduce(alg, n, o)
@@ -58,7 +41,7 @@ func measureScale(c *cluster.Cluster, alg cluster.Algorithm, n int64, o cluster.
 	runtime.ReadMemStats(&m0)
 	g0 := runtime.NumGoroutine()
 	start := time.Now()
-	res, err := sim.RunProgram(engineKind, prog)
+	res, err := sim.RunProgramEvent(prog)
 	if err != nil {
 		return Footprint{}, err
 	}
@@ -108,7 +91,7 @@ func fig16scale(quick bool) (*Figure, error) {
 		ID: "fig16scale", Title: "Multi-node all-reduce at scale (64 MB, 64 ranks/node)",
 		XLabel: "ranks", YLabel: "time (us)", Baseline: "YHCCL",
 		Notes: []string{
-			fmt.Sprintf("engine=%s; inter-node rings coarsened to %d macro-steps (makespan-exact)", engineKind, opts.RingSteps),
+			fmt.Sprintf("engine=event; inter-node rings coarsened to %d macro-steps (makespan-exact)", opts.RingSteps),
 		},
 	}
 	for range algs {
@@ -116,10 +99,6 @@ func fig16scale(quick bool) (*Figure, error) {
 	}
 	for _, nodes := range nodeCounts {
 		ranks := nodes * 64
-		if engineKind == sim.EngineCoroutine && ranks > coroutineRankCap {
-			f.Notes = append(f.Notes, fmt.Sprintf("%d ranks skipped: beyond the coroutine engine's %d-rank cap", ranks, coroutineRankCap))
-			continue
-		}
 		f.XValues = append(f.XValues, int64(ranks))
 		c := cluster.New(topo.NodeA(), nodes, 64, cluster.IB100())
 		for i, a := range algs {
@@ -142,9 +121,6 @@ func fig16scale(quick bool) (*Figure, error) {
 // wall-clock and per-rank memory budgets, with zero goroutine growth. It
 // writes its measurements to w and returns the first budget violation.
 func ScaleGate(w io.Writer) error {
-	if engineKind != sim.EngineEvent {
-		return fmt.Errorf("scale gate runs on the event engine (selected: %s)", engineKind)
-	}
 	const msgElems = (64 << 20) / 8
 	checks := []struct {
 		label       string

@@ -2,14 +2,18 @@
 // experiments (Figs. 16b, 17, 18): identical shared-memory nodes joined by
 // an InfiniBand-class network.
 //
-// Intra-node phases run on the full discrete-event machine of internal/mpi
-// (one representative node — the nodes execute the same program in
-// lockstep). Inter-node phases use an analytic network model with
-// multi-lane saturation: a single communicating process pair cannot fill
-// an IB link; several concurrent pairs can (Träff & Hunold [52], which the
-// paper cites for exactly this effect). YHCCL's hierarchical all-reduce
-// keeps all p processes communicating between nodes simultaneously, while
-// leader-based designs funnel inter-node traffic through one process.
+// Two paths price a cluster collective. The analytic all-reduce
+// (AllreduceTime) runs the intra-node phases on the full discrete-event
+// machine of internal/mpi (one representative node — the nodes execute the
+// same program in lockstep) and adds closed-form inter-node terms. The
+// compiled path (program.go) turns all-reduce, broadcast and all-gather
+// into step programs that the event engine runs at any world size. Both
+// price inter-node phases with multi-lane saturation: a single
+// communicating process pair cannot fill an IB link; several concurrent
+// pairs can (Träff & Hunold [52], which the paper cites for exactly this
+// effect). YHCCL's hierarchical all-reduce keeps all p processes
+// communicating between nodes simultaneously, while leader-based designs
+// funnel inter-node traffic through one process.
 package cluster
 
 import (
@@ -19,7 +23,6 @@ import (
 	"yhccl/internal/coll"
 	"yhccl/internal/memmodel"
 	"yhccl/internal/mpi"
-	"yhccl/internal/sim"
 	"yhccl/internal/topo"
 )
 
@@ -94,30 +97,39 @@ type Cluster struct {
 	// result came from. Plain data — the event path never reads it.
 	Epoch int
 
-	// machine is the representative node, reused across calls so that
-	// communicator state persists like a real job.
+	// machine is the representative node the analytic all-reduce runs on.
+	// Machine builds it on first use and then reuses it, so communicator
+	// state persists like a real job; compiled programs never need it.
 	machine *mpi.Machine
-	// engine selects the simulation core Scheduled* methods run compiled
-	// programs on (EngineCoroutine by default — the exact reference).
-	engine sim.EngineKind
 }
 
-// New builds a cluster. Model-only machines are used (timing studies).
+// New builds a cluster. It panics when perNode ranks do not fit on one node.
 func New(node *topo.Node, nodes, perNode int, net Network) *Cluster {
-	return &Cluster{
-		Node:    node,
-		Nodes:   nodes,
-		PerNode: perNode,
-		Net:     net,
-		machine: mpi.NewMachine(node, perNode, false),
+	if perNode <= 0 || perNode > node.Cores() {
+		panic(fmt.Sprintf("cluster: %d ranks per node do not fit on %s (%d cores)", perNode, node.Name, node.Cores()))
 	}
+	return &Cluster{Node: node, Nodes: nodes, PerNode: perNode, Net: net}
 }
 
 // Ranks returns the total process count.
 func (c *Cluster) Ranks() int { return c.Nodes * c.PerNode }
 
-// Machine exposes the representative node (for counter inspection).
-func (c *Cluster) Machine() *mpi.Machine { return c.machine }
+// Machine returns the representative node, a model-only machine (timing
+// studies) built on the first call.
+func (c *Cluster) Machine() *mpi.Machine {
+	if c.machine == nil {
+		c.machine = mpi.NewMachine(c.Node, c.PerNode, false)
+	}
+	return c.machine
+}
+
+// checkElems rejects a message of fewer than one element per rank.
+func checkElems(n int64) error {
+	if n <= 0 {
+		return fmt.Errorf("cluster: message must have at least 1 element")
+	}
+	return nil
+}
 
 // Algorithm selects a multi-node all-reduce composition.
 type Algorithm string
@@ -149,6 +161,9 @@ func Algorithms() []Algorithm {
 // AllreduceTime returns the simulated seconds of one all-reduce of n
 // float64 elements per rank under the given composition.
 func (c *Cluster) AllreduceTime(alg Algorithm, n int64) (float64, error) {
+	if err := checkElems(n); err != nil {
+		return 0, err
+	}
 	bytes := n * memmodel.ElemSize
 	switch alg {
 	case YHCCLHierarchical:
@@ -178,7 +193,7 @@ func (c *Cluster) AllreduceTime(alg Algorithm, n int64) (float64, error) {
 		}
 		block := float64(bytes) / float64(P)
 		interHop := block/c.Net.EffectiveBandwidth(1) + c.Net.Latency
-		memHop := 5 * block / c.machine.Model.CacheBandwidthPerRank(0)
+		memHop := 5 * block / c.Machine().Model.CacheBandwidthPerRank(0)
 		return float64(2*(P-1)) * (interHop + memHop), nil
 	}
 	return 0, fmt.Errorf("cluster: unknown algorithm %q", alg)
@@ -196,8 +211,9 @@ func (c *Cluster) steadyIntra(label string, n int64, alg func(r *mpi.Rank, cm *m
 		r.Warm(rb, 0, n)
 		alg(r, r.World(), sb, rb, n, mpi.Sum, coll.Options{})
 	}
-	c.machine.MustRun(body)
-	return c.machine.MustRun(body)
+	m := c.Machine()
+	m.MustRun(body)
+	return m.MustRun(body)
 }
 
 // AllreduceTimeTensors models a Horovod-style fused gradient exchange:
@@ -216,7 +232,8 @@ func (c *Cluster) AllreduceTimeTensors(alg Algorithm, totalElems int64, tensors 
 
 func ceilDiv64(a, b int64) int64 { return (a + b - 1) / b }
 
-// MustAllreduceTime panics on unknown algorithms.
+// MustAllreduceTime is AllreduceTime, panicking on an unknown algorithm or
+// an empty message.
 func (c *Cluster) MustAllreduceTime(alg Algorithm, n int64) float64 {
 	t, err := c.AllreduceTime(alg, n)
 	if err != nil {

@@ -98,15 +98,17 @@ func TestClusterDeterministic(t *testing.T) {
 	}
 }
 
+// TestMultiNodeBcast: YHCCL's multi-lane broadcast beats the leader tree
+// and the node-oblivious flat pattern at 8 MB on 16 x 64 ranks.
 func TestMultiNodeBcast(t *testing.T) {
 	c := New(topo.NodeA(), 16, 64, IB100())
 	n := int64(8 << 20 / 8) // 8 MB
-	ty, err := c.BcastTime(YHCCLHierarchical, n)
+	ty, err := c.ScheduledTime(CollBcast, YHCCLHierarchical, n, ScheduleOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, alg := range []Algorithm{LeaderTree, FlatRing} {
-		tb, err := c.BcastTime(alg, n)
+		tb, err := c.ScheduledTime(CollBcast, alg, n, ScheduleOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,20 +116,22 @@ func TestMultiNodeBcast(t *testing.T) {
 			t.Errorf("bcast: YHCCL (%.4g) should beat %s (%.4g) at 8 MB", ty, alg, tb)
 		}
 	}
-	if _, err := c.BcastTime(Algorithm("nope"), n); err == nil {
+	if _, err := c.ScheduledTime(CollBcast, Algorithm("nope"), n, ScheduleOptions{}); err == nil {
 		t.Error("unknown bcast algorithm accepted")
 	}
 }
 
+// TestMultiNodeAllgather: YHCCL's all-gather beats the leader ring and the
+// flat ring at 256 KB per rank on 8 x 64 ranks.
 func TestMultiNodeAllgather(t *testing.T) {
 	c := New(topo.NodeA(), 8, 64, IB100())
 	n := int64(256 << 10 / 8) // 256 KB contributed per rank
-	ty, err := c.AllgatherTime(YHCCLHierarchical, n)
+	ty, err := c.ScheduledTime(CollAllgather, YHCCLHierarchical, n, ScheduleOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, alg := range []Algorithm{LeaderRing, FlatRing} {
-		tb, err := c.AllgatherTime(alg, n)
+		tb, err := c.ScheduledTime(CollAllgather, alg, n, ScheduleOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,19 +139,73 @@ func TestMultiNodeAllgather(t *testing.T) {
 			t.Errorf("allgather: YHCCL (%.4g) should beat %s (%.4g)", ty, alg, tb)
 		}
 	}
-	if _, err := c.AllgatherTime(Algorithm("nope"), n); err == nil {
+	if _, err := c.ScheduledTime(CollAllgather, Algorithm("nope"), n, ScheduleOptions{}); err == nil {
 		t.Error("unknown all-gather algorithm accepted")
 	}
 }
 
 func TestMultiNodeSingleNodeNoInter(t *testing.T) {
 	c := New(topo.NodeB(), 1, 48, IB100())
-	tb, err := c.BcastTime(YHCCLHierarchical, 1<<16)
+	tb, err := c.ScheduledTime(CollBcast, YHCCLHierarchical, 1<<16, ScheduleOptions{})
 	if err != nil || tb <= 0 {
 		t.Fatalf("bcast on one node: %v %v", tb, err)
 	}
-	tg, err := c.AllgatherTime(YHCCLHierarchical, 1<<12)
+	tg, err := c.ScheduledTime(CollAllgather, YHCCLHierarchical, 1<<12, ScheduleOptions{})
 	if err != nil || tg <= 0 {
 		t.Fatalf("allgather on one node: %v %v", tg, err)
+	}
+}
+
+// TestAllreduceTimeRejectsEmptyMessage: the analytic path refuses empty and
+// negative messages with the compiler's error instead of pricing or
+// panicking on them.
+func TestAllreduceTimeRejectsEmptyMessage(t *testing.T) {
+	c := New(topo.NodeA(), 4, 8, IB100())
+	const want = "cluster: message must have at least 1 element"
+	for _, alg := range Algorithms() {
+		for _, n := range []int64{0, -1} {
+			if sec, err := c.AllreduceTime(alg, n); err == nil || err.Error() != want {
+				t.Errorf("AllreduceTime(%s, %d) = %v, %v; want error %q", alg, n, sec, err, want)
+			}
+			if sec, err := c.AllreduceTimeTensors(alg, n, 64); err == nil || err.Error() != want {
+				t.Errorf("AllreduceTimeTensors(%s, %d, 64) = %v, %v; want error %q", alg, n, sec, err, want)
+			}
+		}
+	}
+}
+
+// TestNewRejectsUnfitRankCount: New keeps the check the representative
+// machine made, although it no longer builds one.
+func TestNewRejectsUnfitRankCount(t *testing.T) {
+	for _, perNode := range []int{0, 65} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New with %d ranks per NodeA node did not panic", perNode)
+				}
+			}()
+			New(topo.NodeA(), 2, perNode, IB100())
+		}()
+	}
+}
+
+// TestCompiledPathBuildsNoMachine: compiling and running a program never
+// builds the representative machine; the first Machine call builds it and
+// later calls return the same one.
+func TestCompiledPathBuildsNoMachine(t *testing.T) {
+	c := New(topo.NodeA(), 4, 8, IB100())
+	prog, err := c.Compile(CollAllreduce, YHCCLHierarchical, 4096, ScheduleOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunArmed(prog, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if c.machine != nil {
+		t.Fatal("compiling and running a program built the representative machine")
+	}
+	m := c.Machine()
+	if m == nil || c.Machine() != m {
+		t.Fatal("Machine did not build the representative machine once and reuse it")
 	}
 }

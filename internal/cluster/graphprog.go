@@ -57,9 +57,9 @@ func (gp *graphProgram) Step(rank, step int, visit func(depRank, depStep int) bo
 // CompileGraph lowers a synthesized plan graph over n elements per block
 // into an event-schedule program. The graph is an intra-node schedule, so
 // the cluster must be single-node with PerNode == g.P.
-func (c *Cluster) CompileGraph(g *plan.Graph, n int64, _ ScheduleOptions) (sim.Program, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("cluster: message must have at least 1 element")
+func (c *Cluster) CompileGraph(g *plan.Graph, n int64) (sim.Program, error) {
+	if err := checkElems(n); err != nil {
+		return nil, err
 	}
 	if c.Nodes != 1 {
 		return nil, fmt.Errorf("cluster: plan graphs are intra-node schedules (cluster has %d nodes)", c.Nodes)

@@ -142,7 +142,7 @@ func ParityCases() []ParityCase {
 // set, else through the algorithm compiler.
 func (pc ParityCase) compile() (sim.Program, error) {
 	if pc.Graph != nil {
-		return pc.Clust.CompileGraph(pc.Graph, pc.Elems, pc.Opts)
+		return pc.Clust.CompileGraph(pc.Graph, pc.Elems)
 	}
 	return pc.Clust.Compile(pc.Coll, pc.Alg, pc.Elems, pc.Opts)
 }

@@ -11,7 +11,7 @@ import (
 
 // Event-schedule compilation of the cluster collectives.
 //
-// The analytic path (cluster.go, collectives.go) simulates one
+// The analytic all-reduce (cluster.go) simulates one
 // representative node on the coroutine engine and closes over the fabric
 // with a formula. This file instead compiles each hierarchical collective —
 // the intra-node MA chain / socket-aware / RG tree step schedules composed
@@ -745,8 +745,8 @@ func (c *Cluster) resolveIntra(o ScheduleOptions, leaderBased bool) (IntraKind, 
 // CompileAllreduce compiles one all-reduce of n elements per rank into an
 // event-schedule program over all Nodes x PerNode ranks.
 func (c *Cluster) CompileAllreduce(alg Algorithm, n int64, o ScheduleOptions) (sim.Program, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("cluster: message must have at least 1 element")
+	if err := checkElems(n); err != nil {
+		return nil, err
 	}
 	o = o.withDefaults()
 	msg := float64(n * memmodel.ElemSize)
@@ -825,8 +825,8 @@ func (c *Cluster) CompileAllreduce(alg Algorithm, n int64, o ScheduleOptions) (s
 // CompileBcast compiles one broadcast of n elements (rooted at global rank
 // 0) into an event-schedule program.
 func (c *Cluster) CompileBcast(alg Algorithm, n int64, o ScheduleOptions) (sim.Program, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("cluster: message must have at least 1 element")
+	if err := checkElems(n); err != nil {
+		return nil, err
 	}
 	o = o.withDefaults()
 	msg := float64(n * memmodel.ElemSize)
@@ -876,8 +876,8 @@ func (c *Cluster) CompileBcast(alg Algorithm, n int64, o ScheduleOptions) (sim.P
 // CompileAllgather compiles one all-gather of n elements contributed per
 // rank into an event-schedule program.
 func (c *Cluster) CompileAllgather(alg Algorithm, n int64, o ScheduleOptions) (sim.Program, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("cluster: message must have at least 1 element")
+	if err := checkElems(n); err != nil {
+		return nil, err
 	}
 	o = o.withDefaults()
 	contrib := float64(n * memmodel.ElemSize)
@@ -947,27 +947,19 @@ func (c *Cluster) Compile(coll string, alg Algorithm, n int64, o ScheduleOptions
 	return nil, fmt.Errorf("cluster: unknown collective %q", coll)
 }
 
-// ScheduledTime compiles the collective and executes the program on the
-// cluster's selected engine (see SetEngine), returning simulated seconds.
+// ScheduledTime compiles the collective, runs the program on the event
+// engine and returns its makespan in simulated seconds.
 func (c *Cluster) ScheduledTime(coll string, alg Algorithm, n int64, o ScheduleOptions) (float64, error) {
 	prog, err := c.Compile(coll, alg, n, o)
 	if err != nil {
 		return 0, err
 	}
-	return c.machine.RunProgram(prog, c.engine)
+	res, err := sim.RunProgramEvent(prog)
+	if err != nil {
+		return 0, err
+	}
+	return res.Makespan.Seconds(), nil
 }
-
-// ScheduledAllreduceTime is ScheduledTime for the all-reduce.
-func (c *Cluster) ScheduledAllreduceTime(alg Algorithm, n int64, o ScheduleOptions) (float64, error) {
-	return c.ScheduledTime(CollAllreduce, alg, n, o)
-}
-
-// SetEngine selects the simulation core Scheduled* methods run on
-// (coroutine by default — the exact reference; event for cluster scale).
-func (c *Cluster) SetEngine(kind sim.EngineKind) { c.engine = kind }
-
-// Engine returns the selected simulation core.
-func (c *Cluster) Engine() sim.EngineKind { return c.engine }
 
 // ProgramEvents returns how many calendar events a compiled program
 // dispatches on a healthy event-engine run (one per step); useful for

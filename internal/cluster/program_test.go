@@ -97,40 +97,14 @@ func TestEngineParity(t *testing.T) {
 	}
 }
 
-// TestScheduledTimeEngines: the engine switch changes the substrate, not
-// the answer.
-func TestScheduledTimeEngines(t *testing.T) {
-	c := New(topo.NodeA(), 4, 8, IB100())
-	opts := ScheduleOptions{Intra: IntraMA}
-	if c.Engine() != sim.EngineCoroutine {
-		t.Fatalf("default engine %v, want coroutine", c.Engine())
-	}
-	tCo, err := c.ScheduledAllreduceTime(YHCCLHierarchical, 65536, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetEngine(sim.EngineEvent)
-	tEv, err := c.ScheduledAllreduceTime(YHCCLHierarchical, 65536, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tCo != tEv {
-		t.Fatalf("engines disagree: coroutine %v s vs event %v s", tCo, tEv)
-	}
-	if tEv <= 0 {
-		t.Fatalf("non-positive scheduled time %v", tEv)
-	}
-}
-
 // TestScheduledVsAnalyticSanity: the compiled schedule and the analytic
 // model are different formulations of the same machine; demand agreement
 // within a loose factor, not equality.
 func TestScheduledVsAnalyticSanity(t *testing.T) {
 	c := New(topo.NodeA(), 16, 64, IB100())
-	c.SetEngine(sim.EngineEvent)
 	const n = 1 << 20 // 8 MB
 	for _, alg := range []Algorithm{YHCCLHierarchical, LeaderRing, LeaderTree} {
-		sched, err := c.ScheduledAllreduceTime(alg, n, ScheduleOptions{})
+		sched, err := c.ScheduledTime(CollAllreduce, alg, n, ScheduleOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -169,12 +143,11 @@ func TestCompileErrors(t *testing.T) {
 // makespan exactly when hop durations are uniform (they are, per lane).
 func TestRingCoarsening(t *testing.T) {
 	c := New(topo.NodeA(), 32, 8, IB100())
-	c.SetEngine(sim.EngineEvent)
-	exact, err := c.ScheduledAllreduceTime(YHCCLHierarchical, 65536, ScheduleOptions{Intra: IntraMA})
+	exact, err := c.ScheduledTime(CollAllreduce, YHCCLHierarchical, 65536, ScheduleOptions{Intra: IntraMA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse, err := c.ScheduledAllreduceTime(YHCCLHierarchical, 65536, ScheduleOptions{Intra: IntraMA, RingSteps: 7})
+	coarse, err := c.ScheduledTime(CollAllreduce, YHCCLHierarchical, 65536, ScheduleOptions{Intra: IntraMA, RingSteps: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +161,6 @@ func TestDegenerateShapes(t *testing.T) {
 	for _, alg := range Algorithms() {
 		for _, shape := range []struct{ nodes, per int }{{1, 1}, {1, 4}, {2, 1}} {
 			c := New(topo.NodeA(), shape.nodes, shape.per, IB100())
-			c.SetEngine(sim.EngineEvent)
 			for _, coll := range []string{CollAllreduce, CollBcast, CollAllgather} {
 				sec, err := c.ScheduledTime(coll, alg, 4096, ScheduleOptions{Intra: IntraAuto})
 				if err != nil {
@@ -232,8 +204,7 @@ func TestClusterScaleSmoke(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	c := New(topo.NodeA(), 1024, 64, IB100())
-	c.SetEngine(sim.EngineEvent)
-	sec, err := c.ScheduledAllreduceTime(YHCCLHierarchical, 1<<23, ScheduleOptions{RingSteps: 128})
+	sec, err := c.ScheduledTime(CollAllreduce, YHCCLHierarchical, 1<<23, ScheduleOptions{RingSteps: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +213,7 @@ func TestClusterScaleSmoke(t *testing.T) {
 	}
 
 	big := New(topo.NodeA(), 4096, 64, IB100())
-	big.SetEngine(sim.EngineEvent)
-	sec2, err := big.ScheduledAllreduceTime(LeaderTree, 1<<23, ScheduleOptions{})
+	sec2, err := big.ScheduledTime(CollAllreduce, LeaderTree, 1<<23, ScheduleOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -262,7 +262,7 @@ func (pl *Plan) WithoutStraggler(rank int) *Plan {
 // post-mortem diagnosis ("was the wrong answer the injected flip, or a real
 // bug?").
 type Event struct {
-	Kind   string  // "straggler", "stall", "crash", "bitflip"
+	Kind   string // "straggler", "stall", "crash", "bitflip"
 	Rank   int
 	Clock  float64 // virtual time the fault fired (stragglers: 0, armed at spawn)
 	Detail string

@@ -46,8 +46,8 @@ func TestPlanJSONRoundTripExact(t *testing.T) {
 				for _, pol := range []string{"", "t-copy", "nt-copy"} {
 					p := Plan{
 						Collective: Coll(i % int(NumColls)).String(), Bucket: 13 + i,
-						SizeBytes: int64(1) << (13 + i%15),
-						Params:    Params{Family: fam, SliceKB: kb, Policy: pol, RGDegree: i % 5, Fanout: i % 7},
+						SizeBytes:        int64(1) << (13 + i%15),
+						Params:           Params{Family: fam, SliceKB: kb, Policy: pol, RGDegree: i % 5, Fanout: i % 7},
 						PredictedSeconds: 1e-6 * float64(i+1), PredictedDAV: int64(i) * 1e6,
 						BestSeed: fam, BestSeedSeconds: 1.1e-6 * float64(i+1), Source: src,
 					}

@@ -195,11 +195,11 @@ type membership struct {
 	members  []int        // original node ids, in current cluster order
 	excluded map[int]bool // original ids currently out of the membership
 
-	consumedCrash   map[int]int      // orig id -> crash entries consumed
-	consumedCorrupt map[[2]int]bool  // (orig id, phase) corruption consumed
-	healedLinks     map[int]bool     // orig id -> LinkDegrade healed away
-	healsUsed       map[int]int      // orig id -> NodeHeal entries consumed
-	cumTicks        int64            // virtual ticks across all attempts
+	consumedCrash   map[int]int     // orig id -> crash entries consumed
+	consumedCorrupt map[[2]int]bool // (orig id, phase) corruption consumed
+	healedLinks     map[int]bool    // orig id -> LinkDegrade healed away
+	healsUsed       map[int]int     // orig id -> NodeHeal entries consumed
+	cumTicks        int64           // virtual ticks across all attempts
 }
 
 func newMembership(base *fault.ClusterPlan, nodes, perNode int) *membership {

@@ -56,28 +56,6 @@ const (
 	EngineEvent
 )
 
-// String returns the -engine flag spelling.
-func (k EngineKind) String() string {
-	switch k {
-	case EngineCoroutine:
-		return "coroutine"
-	case EngineEvent:
-		return "event"
-	}
-	return fmt.Sprintf("engine(%d)", int(k))
-}
-
-// ParseEngine parses an -engine flag value.
-func ParseEngine(s string) (EngineKind, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "coroutine", "coro", "goroutine":
-		return EngineCoroutine, nil
-	case "event", "calendar", "ev":
-		return EngineEvent, nil
-	}
-	return 0, fmt.Errorf("sim: unknown engine %q (want coroutine or event)", s)
-}
-
 // ProgramResult reports one program execution.
 type ProgramResult struct {
 	// Makespan is the latest step completion tick.
@@ -288,17 +266,22 @@ func (r *programRunner) handle(now Tick, actor, _ int32) {
 
 // deadlock builds the diagnostic for an unfinishable program.
 func (r *programRunner) deadlock() error {
-	e := &ProgramDeadlockError{Finished: r.finished, Total: r.prog.Ranks()}
+	return &ProgramDeadlockError{Finished: r.finished, Total: r.prog.Ranks(), Waiting: r.waiting()}
+}
+
+// waiting samples up to eight stuck ranks as "rank@step->rank@step", in
+// the order of the ranks they wait on.
+func (r *programRunner) waiting() []string {
+	var out []string
 	for q := range r.waitHead {
-		for w := r.waitHead[q]; w >= 0 && len(e.Waiting) < 8; w = r.waitNext[w] {
-			e.Waiting = append(e.Waiting,
-				fmt.Sprintf("rank%d@%d->rank%d@%d", w, r.done[w], q, r.waitNeed[w]-1))
-		}
-		if len(e.Waiting) >= 8 {
-			break
+		for w := r.waitHead[q]; w >= 0; w = r.waitNext[w] {
+			if len(out) == 8 {
+				return out
+			}
+			out = append(out, fmt.Sprintf("rank%d@%d->rank%d@%d", w, r.done[w], q, r.waitNeed[w]-1))
 		}
 	}
-	return e
+	return out
 }
 
 // RunProgramCoroutine executes a program on the coroutine engine: one proc

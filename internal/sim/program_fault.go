@@ -78,22 +78,13 @@ func RunProgramEventArmed(p Program, f *ProgramFaults) (ProgramResult, error) {
 
 // halt builds the structured diagnostic for an unfinishable armed run.
 func (r *programRunner) halt() error {
-	e := &ProgramHaltError{
+	return &ProgramHaltError{
 		Finished:   r.finished,
 		Total:      r.prog.Ranks(),
 		DeadCount:  r.deadCount,
 		Dead:       r.dead,
 		HorizonHit: r.halted,
 		Now:        r.haltNow,
+		Waiting:    r.waiting(),
 	}
-	for q := range r.waitHead {
-		for w := r.waitHead[q]; w >= 0 && len(e.Waiting) < 8; w = r.waitNext[w] {
-			e.Waiting = append(e.Waiting,
-				fmt.Sprintf("rank%d@%d->rank%d@%d", w, r.done[w], q, r.waitNeed[w]-1))
-		}
-		if len(e.Waiting) >= 8 {
-			break
-		}
-	}
-	return e
 }

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -27,11 +29,11 @@ func (p *tableProgram) Step(r, s int, visit func(int, int) bool) (Tick, bool) {
 
 func bothEngines(t *testing.T, p Program) (ProgramResult, ProgramResult) {
 	t.Helper()
-	ev, err := RunProgramEvent(p)
+	ev, err := RunProgram(EngineEvent, p)
 	if err != nil {
 		t.Fatalf("event engine: %v", err)
 	}
-	co, err := RunProgramCoroutine(p)
+	co, err := RunProgram(EngineCoroutine, p)
 	if err != nil {
 		t.Fatalf("coroutine engine: %v", err)
 	}
@@ -178,6 +180,43 @@ func TestProgramDeadlock(t *testing.T) {
 	}
 }
 
+// TestProgramStuckRankSample: both diagnostics of an unfinishable run
+// sample the same first eight stuck ranks, walking the waiter lists in
+// rank order. Rank 0 waits on rank 1 and every other rank waits on rank 0,
+// so rank 0's list (newest waiter first) fills the sample.
+func TestProgramStuckRankSample(t *testing.T) {
+	const ranks = 12
+	p := &tableProgram{durs: make([][]Tick, ranks), deps: make([][][][2]int, ranks)}
+	for r := range ranks {
+		dep := [2]int{0, 0}
+		if r == 0 {
+			dep = [2]int{1, 0}
+		}
+		p.durs[r] = []Tick{1}
+		p.deps[r] = [][][2]int{{dep}}
+	}
+	var want []string
+	for r := ranks - 1; r >= 4; r-- {
+		want = append(want, fmt.Sprintf("rank%d@0->rank0@0", r))
+	}
+	_, err := RunProgramEvent(p)
+	var dl *ProgramDeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("got %v, want ProgramDeadlockError", err)
+	}
+	if !slices.Equal(dl.Waiting, want) {
+		t.Fatalf("deadlock sample %q, want %q", dl.Waiting, want)
+	}
+	_, err = RunProgramEventArmed(p, nil)
+	var he *ProgramHaltError
+	if !errors.As(err, &he) {
+		t.Fatalf("armed run: got %v, want ProgramHaltError", err)
+	}
+	if !slices.Equal(he.Waiting, want) {
+		t.Fatalf("halt sample %q, want %q", he.Waiting, want)
+	}
+}
+
 // TestProgramFlatMemory: a wide program on the event engine creates no
 // per-rank goroutines.
 func TestProgramFlatMemory(t *testing.T) {
@@ -213,24 +252,6 @@ func (p *chainProgram) Step(rank, step int, visit func(int, int) bool) (Tick, bo
 		visit(rank-1, 0)
 	}
 	return 1, true
-}
-
-func TestParseEngine(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want EngineKind
-	}{{"coroutine", EngineCoroutine}, {"coro", EngineCoroutine}, {"EVENT", EngineEvent}, {" calendar ", EngineEvent}} {
-		got, err := ParseEngine(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseEngine(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if _, err := ParseEngine("quantum"); err == nil {
-		t.Fatal("unknown engine accepted")
-	}
-	if EngineEvent.String() != "event" || EngineCoroutine.String() != "coroutine" {
-		t.Fatal("String spellings changed")
-	}
 }
 
 func BenchmarkProgramEvent(b *testing.B) {

@@ -221,9 +221,9 @@ func Tune(cfg Config) (*plan.Cache, error) {
 		for _, s := range sizes {
 			cands := Candidates(c, cfg.Node, cfg.Ranks, s)
 			var (
-				bestSeed, best       plan.Params
-				bestSeedT, bestT     float64
-				haveSeed, haveAny    bool
+				bestSeed, best    plan.Params
+				bestSeedT, bestT  float64
+				haveSeed, haveAny bool
 			)
 			for _, pr := range cands {
 				t, err := Measure(cfg.Node, cfg.Ranks, c, pr, s)

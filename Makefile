@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: build test test-race race race-fast vet chaos-recover chaos-cluster chaos-churn scale engine-compare ci bench bench-baseline bench-compare tune tune-full plan-verify serve serve-overload
+.PHONY: build test test-race race race-fast vet chaos-recover chaos-cluster chaos-churn scale engine-compare ci bench bench-baseline bench-compare tune tune-full plan-verify serve serve-overload examples
 
 # Single CI entrypoint: vet, the full test suite (incl. the fast race pass
 # and the benchmark module's tests), the fault-injection gates (supervised
 # rank-level sweep, cluster-scale, and membership churn), the cluster-scale smoke gate, the tuned-plan pipeline
-# (quick-budget synthesis + the beats-or-matches gate), then the
+# (quick-budget synthesis + the beats-or-matches gate), the
 # multi-tenant serving gates (steady-state sweep and the bounded-queue
-# overload point).
-ci: test chaos-recover chaos-cluster chaos-churn scale tune plan-verify serve serve-overload
+# overload point), then every example.
+ci: test chaos-recover chaos-cluster chaos-churn scale tune plan-verify serve serve-overload examples
 
 build:
 	$(GO) build ./...
@@ -117,6 +117,11 @@ serve:
 # demonstrably sheds and every admitted job meets its deadline.
 serve-overload:
 	$(GO) run ./cmd/yhcclbench -serve-overload
+
+# Build and run every example; each exits nonzero (log.Fatal or panic) on
+# an error or a wrong result.
+examples:
+	@for d in examples/*/; do echo "example $$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
 # Beats-or-matches gate over the committed caches: the tuned dispatch must
 # match or beat every figure baseline at every quick sweep point, with at

@@ -23,6 +23,7 @@ import (
 	"yhccl/internal/fault"
 	"yhccl/internal/memmodel"
 	"yhccl/internal/mpi"
+	"yhccl/internal/plan"
 	"yhccl/internal/sim"
 	"yhccl/internal/topo"
 )
@@ -43,7 +44,7 @@ func main() {
 	flag.Parse()
 
 	if *algsFlag {
-		fmt.Println(strings.Join(algNames(*collective), " "))
+		fmt.Println(strings.Join(coll.Algorithms(*collective), " "))
 		return
 	}
 
@@ -55,7 +56,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	plan, err := parseStraggler(*straggler, *np)
+	faults, err := parseStraggler(*straggler, *np)
 	if err != nil {
 		fatal(err)
 	}
@@ -69,8 +70,8 @@ func main() {
 
 	fmt.Printf("# OSU-style %s, %s, np=%d, algorithm=%s (simulated time)\n",
 		*collective, node.Name, *np, *alg)
-	if plan != nil {
-		fmt.Printf("# %v\n", plan)
+	if faults != nil {
+		fmt.Printf("# %v\n", faults)
 	}
 	if *stats {
 		fmt.Printf("%-12s %14s %12s %12s %10s\n", "# Size", "Avg Latency(us)", "DAV(MB)", "DRAM(MB)", "syncs")
@@ -79,7 +80,7 @@ func main() {
 	}
 	for s := lo; s <= hi; s *= 2 {
 		trace := *traceFile != "" && s*2 > hi // only the largest size
-		t, counters, tr, err := measure(node, *np, *collective, *alg, s, trace, plan)
+		t, counters, tr, err := measure(node, *np, *collective, *alg, s, trace, faults)
 		if err != nil {
 			fatal(err)
 		}
@@ -129,30 +130,6 @@ func parseRange(s string) (int64, int64, error) {
 	return lo, hi, nil
 }
 
-func algNames(collective string) []string {
-	switch collective {
-	case "allreduce":
-		return coll.Names(coll.AllreduceAlgos)
-	case "reduce-scatter":
-		return coll.Names(coll.ReduceScatterAlgos)
-	case "reduce":
-		return coll.Names(coll.ReduceAlgos)
-	case "bcast":
-		return coll.Names(coll.BcastAlgos)
-	case "allgather":
-		return coll.Names(coll.AllgatherAlgos)
-	case "gather":
-		return coll.Names(coll.GatherAlgos)
-	case "scatter":
-		return coll.Names(coll.ScatterAlgos)
-	case "alltoall":
-		return coll.Names(coll.AlltoallAlgos)
-	case "scan":
-		return coll.Names(coll.ScanAlgos)
-	}
-	return nil
-}
-
 // parseStraggler turns a "rank:factor" spec into a one-straggler fault plan
 // (nil when the spec is empty). The rank must name one of the np ranks and
 // the factor must be a positive finite slowdown — a spec that falls outside
@@ -187,12 +164,12 @@ func parseStraggler(s string, np int) (*fault.Plan, error) {
 
 // measure returns steady-state simulated seconds and the measured
 // iteration's counters at message bytes s, optionally tracing it.
-func measure(node *topo.Node, np int, collective, alg string, s int64, trace bool, plan *fault.Plan) (float64, memmodel.Counters, *sim.Tracer, error) {
+func measure(node *topo.Node, np int, collective, alg string, s int64, trace bool, faults *fault.Plan) (float64, memmodel.Counters, *sim.Tracer, error) {
 	m := mpi.NewMachine(node, np, false)
-	if err := m.SetFaultPlan(plan); err != nil {
+	if err := m.SetFaultPlan(faults); err != nil {
 		return 0, memmodel.Counters{}, nil, err
 	}
-	body, err := makeBody(m, collective, alg, s)
+	body, err := makeBody(np, collective, alg, s)
 	if err != nil {
 		return 0, memmodel.Counters{}, nil, err
 	}
@@ -208,316 +185,54 @@ func measure(node *topo.Node, np int, collective, alg string, s int64, trace boo
 	return t, m.Model.Counters().Sub(before), tr, nil
 }
 
-func makeBody(m *mpi.Machine, collective, alg string, s int64) (func(r *mpi.Rank), error) {
-	n := s / memmodel.ElemSize
-	if n < 1 {
-		n = 1
+// makeBody builds the timed per-rank body at message bytes s: n = s/8
+// elements per rank (n/np per block for reduce-scatter), Sum, root 0,
+// default options. Every rank warms its send buffer first (scatter: only
+// the root, whose buffer is the input); all-reduce also warms its receive
+// buffer.
+func makeBody(np int, collective, alg string, s int64) (func(r *mpi.Rank), error) {
+	n := max(s/memmodel.ElemSize, 1)
+	if collective == "reduce-scatter" {
+		n = max(n/int64(np), 1)
 	}
-	p := int64(m.Size())
-	switch collective {
-	case "allreduce":
-		f, err := coll.Lookup(coll.AllreduceAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("osu/sb", n)
-			rb := r.PersistentBuffer("osu/rb", n)
-			r.Warm(sb, 0, n)
-			r.Warm(rb, 0, n)
-			f(r, r.World(), sb, rb, n, mpi.Sum, coll.Options{})
-		}, nil
-	case "reduce-scatter":
-		f, err := coll.Lookup(coll.ReduceScatterAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		bn := n / p
-		if bn < 1 {
-			bn = 1
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("osu/sb", bn*p)
-			rb := r.PersistentBuffer("osu/rb", bn)
-			r.Warm(sb, 0, bn*p)
-			f(r, r.World(), sb, rb, bn, mpi.Sum, coll.Options{})
-		}, nil
-	case "reduce":
-		f, err := coll.Lookup(coll.ReduceAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("osu/sb", n)
-			rb := r.PersistentBuffer("osu/rb", n)
-			r.Warm(sb, 0, n)
-			f(r, r.World(), sb, rb, n, mpi.Sum, 0, coll.Options{})
-		}, nil
-	case "bcast":
-		f, err := coll.Lookup(coll.BcastAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			buf := r.PersistentBuffer("osu/buf", n)
-			r.Warm(buf, 0, n)
-			f(r, r.World(), buf, n, 0, coll.Options{})
-		}, nil
-	case "allgather":
-		f, err := coll.Lookup(coll.AllgatherAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("osu/sb", n)
-			rb := r.PersistentBuffer("osu/rb", n*p)
-			r.Warm(sb, 0, n)
-			f(r, r.World(), sb, rb, n, coll.Options{})
-		}, nil
-	case "gather":
-		f, err := coll.Lookup(coll.GatherAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("osu/sb", n)
-			rb := r.PersistentBuffer("osu/rb", n*p)
-			r.Warm(sb, 0, n)
-			f(r, r.World(), sb, rb, n, 0, coll.Options{})
-		}, nil
-	case "scatter":
-		f, err := coll.Lookup(coll.ScatterAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("osu/sb", n*p)
-			rb := r.PersistentBuffer("osu/rb", n)
-			if r.ID() == 0 {
-				r.Warm(sb, 0, n*p)
-			}
-			f(r, r.World(), sb, rb, n, 0, coll.Options{})
-		}, nil
-	case "alltoall":
-		f, err := coll.Lookup(coll.AlltoallAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("osu/sb", n*p)
-			rb := r.PersistentBuffer("osu/rb", n*p)
-			r.Warm(sb, 0, n*p)
-			f(r, r.World(), sb, rb, n, coll.Options{})
-		}, nil
-	case "scan":
-		f, err := coll.Lookup(coll.ScanAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("osu/sb", n)
-			rb := r.PersistentBuffer("osu/rb", n)
-			r.Warm(sb, 0, n)
-			f(r, r.World(), sb, rb, n, mpi.Sum, coll.Options{})
-		}, nil
+	call := coll.Call{Coll: collective, Params: plan.Params{Family: alg}, N: n}
+	_, f, err := call.Bind(np)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("unknown collective %q", collective)
+	return func(r *mpi.Rank) {
+		sb, rb := call.Buffers(np, "osu/", r.PersistentBuffer)
+		if collective != "scatter" || r.ID() == call.Root {
+			r.Warm(sb, 0, sb.Elems)
+		}
+		if collective == "allreduce" {
+			r.Warm(rb, 0, rb.Elems)
+		}
+		f(r, r.World(), sb, rb)
+	}, nil
 }
 
-// verify runs the collective with real data at a small size and checks the
-// result element-wise.
+// verify runs the collective with real data at a small size and checks
+// every element of every rank's output.
 func verify(node *topo.Node, np int, collective, alg string) error {
-	const n = 1024
-	m := mpi.NewMachine(node, np, true)
-	var failure error
-	p := np
-	expectSum := func(i int64) float64 {
-		return float64(p)*float64(i) + float64(p*(p-1))/2
-	}
-	body, err := makeVerifyBody(m, collective, alg, n, expectSum, &failure)
+	call := coll.Call{Coll: collective, Params: plan.Params{Family: alg}, N: 1024}
+	_, f, err := call.Bind(np)
 	if err != nil {
 		return err
 	}
-	m.MustRun(body)
-	return failure
-}
-
-func makeVerifyBody(m *mpi.Machine, collective, alg string, n int64,
-	expectSum func(i int64) float64, failure *error) (func(r *mpi.Rank), error) {
-	p := int64(m.Size())
-	fail := func(format string, args ...interface{}) {
-		if *failure == nil {
-			*failure = fmt.Errorf(format, args...)
+	bases := coll.SumBases(np)
+	errs := make([]error, np)
+	m := mpi.NewMachine(node, np, true)
+	m.MustRun(func(r *mpi.Rank) {
+		sb, rb := call.Buffers(np, "v/", r.NewBuffer)
+		call.Fill(r, sb, bases)
+		f(r, r.World(), sb, rb)
+		errs[r.ID()] = call.Validate(collective+"/"+alg, r.ID(), sb, rb, bases)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	switch collective {
-	case "allreduce":
-		f, err := coll.Lookup(coll.AllreduceAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.NewBuffer("v/sb", n)
-			rb := r.NewBuffer("v/rb", n)
-			r.FillPattern(sb, float64(r.ID()))
-			f(r, r.World(), sb, rb, n, mpi.Sum, coll.Options{})
-			for i := int64(0); i < n; i += 17 {
-				if got := rb.Slice(i, 1)[0]; got != expectSum(i) {
-					fail("rank %d rb[%d] = %v, want %v", r.ID(), i, got, expectSum(i))
-					return
-				}
-			}
-		}, nil
-	case "reduce-scatter":
-		f, err := coll.Lookup(coll.ReduceScatterAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.NewBuffer("v/sb", n*p)
-			rb := r.NewBuffer("v/rb", n)
-			r.FillPattern(sb, float64(r.ID()))
-			f(r, r.World(), sb, rb, n, mpi.Sum, coll.Options{})
-			for i := int64(0); i < n; i += 17 {
-				want := expectSum(int64(r.ID())*n + i)
-				if got := rb.Slice(i, 1)[0]; got != want {
-					fail("rank %d rb[%d] = %v, want %v", r.ID(), i, got, want)
-					return
-				}
-			}
-		}, nil
-	case "reduce":
-		f, err := coll.Lookup(coll.ReduceAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.NewBuffer("v/sb", n)
-			rb := r.NewBuffer("v/rb", n)
-			r.FillPattern(sb, float64(r.ID()))
-			f(r, r.World(), sb, rb, n, mpi.Sum, 0, coll.Options{})
-			if r.ID() == 0 {
-				for i := int64(0); i < n; i += 17 {
-					if got := rb.Slice(i, 1)[0]; got != expectSum(i) {
-						fail("root rb[%d] = %v, want %v", i, got, expectSum(i))
-						return
-					}
-				}
-			}
-		}, nil
-	case "bcast":
-		f, err := coll.Lookup(coll.BcastAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			buf := r.NewBuffer("v/buf", n)
-			if r.ID() == 0 {
-				r.FillPattern(buf, 777)
-			}
-			f(r, r.World(), buf, n, 0, coll.Options{})
-			for i := int64(0); i < n; i += 17 {
-				if got := buf.Slice(i, 1)[0]; got != 777+float64(i) {
-					fail("rank %d buf[%d] = %v", r.ID(), i, got)
-					return
-				}
-			}
-		}, nil
-	case "allgather":
-		f, err := coll.Lookup(coll.AllgatherAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.NewBuffer("v/sb", n)
-			rb := r.NewBuffer("v/rb", n*p)
-			r.FillPattern(sb, float64(r.ID()*100000))
-			f(r, r.World(), sb, rb, n, coll.Options{})
-			for b := int64(0); b < p; b++ {
-				for i := int64(0); i < n; i += 111 {
-					want := float64(b*100000) + float64(i)
-					if got := rb.Slice(b*n+i, 1)[0]; got != want {
-						fail("rank %d rb[%d][%d] = %v, want %v", r.ID(), b, i, got, want)
-						return
-					}
-				}
-			}
-		}, nil
-	case "gather":
-		f, err := coll.Lookup(coll.GatherAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.NewBuffer("v/sb", n)
-			rb := r.NewBuffer("v/rb", n*p)
-			r.FillPattern(sb, float64(r.ID()*100000))
-			f(r, r.World(), sb, rb, n, 0, coll.Options{})
-			if r.ID() == 0 {
-				for b := int64(0); b < p; b++ {
-					if got := rb.Slice(b*n, 1)[0]; got != float64(b*100000) {
-						fail("gather rb[%d] = %v", b, got)
-						return
-					}
-				}
-			}
-		}, nil
-	case "scatter":
-		f, err := coll.Lookup(coll.ScatterAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.NewBuffer("v/sb", n*p)
-			rb := r.NewBuffer("v/rb", n)
-			if r.ID() == 0 {
-				r.FillPattern(sb, 0)
-			}
-			f(r, r.World(), sb, rb, n, 0, coll.Options{})
-			me := int64(r.ID())
-			if got := rb.Slice(0, 1)[0]; got != float64(me*n) {
-				fail("scatter rank %d rb[0] = %v, want %v", r.ID(), got, me*n)
-			}
-		}, nil
-	case "scan":
-		f, err := coll.Lookup(coll.ScanAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.NewBuffer("v/sb", n)
-			rb := r.NewBuffer("v/rb", n)
-			r.FillPattern(sb, float64(r.ID()))
-			f(r, r.World(), sb, rb, n, mpi.Sum, coll.Options{})
-			me := r.ID()
-			want := float64(me+1)*5 + float64(me*(me+1))/2
-			if got := rb.Slice(5, 1)[0]; got != want {
-				fail("scan rank %d rb[5] = %v, want %v", me, got, want)
-			}
-		}, nil
-	case "alltoall":
-		f, err := coll.Lookup(coll.AlltoallAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.NewBuffer("v/sb", n*p)
-			rb := r.NewBuffer("v/rb", n*p)
-			data := sb.Slice(0, n*p)
-			for j := int64(0); j < p; j++ {
-				for i := int64(0); i < n; i++ {
-					data[j*n+i] = float64(r.ID())*1e6 + float64(j)*1e3
-				}
-			}
-			f(r, r.World(), sb, rb, n, coll.Options{})
-			for j := int64(0); j < p; j++ {
-				want := float64(j)*1e6 + float64(r.ID())*1e3
-				if got := rb.Slice(j*n, 1)[0]; got != want {
-					fail("alltoall rank %d rb[%d] = %v, want %v", r.ID(), j, got, want)
-					return
-				}
-			}
-		}, nil
-	}
-	return nil, fmt.Errorf("unknown collective %q", collective)
+	return nil
 }

@@ -3,6 +3,9 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"yhccl/internal/coll"
+	"yhccl/internal/topo"
 )
 
 func TestParseStraggler(t *testing.T) {
@@ -70,5 +73,34 @@ func TestParseStragglerRespectsNp(t *testing.T) {
 	}
 	if _, err := parseStraggler("7:8", 4); err == nil {
 		t.Error("rank 7 accepted with np=4")
+	}
+}
+
+// TestVerifyEveryAlgorithm runs the -c verification pass, which checks every
+// output element of every rank, for each registry algorithm of all nine
+// collectives on NodeA (np=8) and NodeB (np=6).
+func TestVerifyEveryAlgorithm(t *testing.T) {
+	for _, node := range []struct {
+		name string
+		np   int
+	}{{"NodeA", 8}, {"NodeB", 6}} {
+		n, err := topo.Preset(node.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, collective := range []string{"allreduce", "reduce-scatter", "reduce", "bcast", "allgather", "gather", "scatter", "alltoall", "scan"} {
+			algs := coll.Algorithms(collective)
+			if len(algs) == 0 {
+				t.Fatalf("%s: no algorithms", collective)
+			}
+			for _, alg := range algs {
+				if err := verify(n, node.np, collective, alg); err != nil {
+					t.Errorf("%s np=%d %s/%s: %v", node.name, node.np, collective, alg, err)
+				}
+			}
+		}
+	}
+	if err := verify(topo.NodeA(), 4, "allreduce", "nope"); err == nil {
+		t.Error("unknown algorithm verified")
 	}
 }

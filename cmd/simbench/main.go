@@ -211,7 +211,7 @@ func eventPostPop(b *testing.B) {
 }
 
 // planLookup measures the per-call plan-table dispatch: one bucket index
-// plus an edge clamp. This is the hot path every Tuned* collective pays, so
+// plus an edge clamp. This is the hot path every tuned collective pays, so
 // it must stay O(1) with zero allocations (AllocsPerOp is asserted in CI
 // via the checked-in BENCH_sim.json showing 0).
 func planLookup(b *testing.B) {

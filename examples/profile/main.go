@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"os"
 
 	"yhccl/internal/coll"
@@ -25,12 +26,19 @@ func main() {
 	// codes.
 	const big = int64(1 << 18)   // 2 MB
 	const small = int64(1 << 10) // 8 KB
+	const steps = 5
+	// The last step fills rank r's gradient with r+steps-1+i, so its sum is
+	// exact and checkable.
+	bases := make([]float64, p)
+	for i := range bases {
+		bases[i] = float64(i + steps - 1)
+	}
 	m.MustRun(func(r *mpi.Rank) {
 		grad := r.NewBuffer("grad", big)
 		gsum := r.NewBuffer("gsum", big)
 		flags := r.NewBuffer("flags", small)
 		fsum := r.NewBuffer("fsum", small)
-		for step := 0; step < 5; step++ {
+		for step := 0; step < steps; step++ {
 			r.FillPattern(grad, float64(r.ID()+step))
 			prof.Wrap(r, "allreduce(grad)", big*memmodel.ElemSize, func() {
 				coll.AllreduceYHCCL(r, r.World(), grad, gsum, big, mpi.Sum, coll.Options{})
@@ -43,6 +51,9 @@ func main() {
 					coll.BcastPipelined(r, r.World(), flags, small, 0, coll.Options{})
 				})
 			}
+		}
+		if err := coll.ValidateAllreduceSum("allreduce(grad)", r.ID(), gsum, big, bases); err != nil {
+			log.Fatal(err)
 		}
 	})
 

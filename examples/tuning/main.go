@@ -51,9 +51,13 @@ func main() {
 		fmt.Printf("%-9s %-28s %12s %12s  (all-reduce, NodeA p=64)\n", "msg", "plan", "predicted", "measured")
 		for _, s := range []int64{64 << 10, 1 << 20, 16 << 20, 256 << 20} {
 			entry := table.Lookup(plan.Allreduce, s)
-			measured := bench.MeasureAllreduce(node, p, func(r *yhccl.Rank, cm *yhccl.Comm, sb, rb *yhccl.Buffer, n int64, op yhccl.Op, o yhccl.Options) {
-				coll.TunedAllreduce(planner, r, cm, sb, rb, n, op, o)
-			}, s, bench.NodeOptions(node))
+			measured, err := bench.Measure(node, p, coll.Call{Coll: "allreduce", Planner: planner, Options: bench.NodeOptions(node)}, s)
+			if err != nil {
+				panic(err)
+			}
+			if entry.Source != "extrapolated" && measured != entry.PredictedSeconds {
+				panic(fmt.Sprintf("%d KB: measured %v s, the cache predicted %v s", s>>10, measured, entry.PredictedSeconds))
+			}
 			fmt.Printf("%6dKB  %-28s %10.3es %10.3es\n",
 				s>>10, entry.Params.String(), entry.PredictedSeconds, measured)
 		}

@@ -2,8 +2,11 @@ package yhccl
 
 import (
 	"fmt"
+	"math"
 
 	"yhccl/internal/coll"
+	"yhccl/internal/memmodel"
+	"yhccl/internal/plan"
 )
 
 // Unified request API: every collective the library implements is reachable
@@ -30,15 +33,17 @@ import (
 //     Options.FallbackDepth selects the chain entry, exactly as the
 //     recovery supervisor does. The implementation is instrumented so a
 //     hang or crash is attributed to "collective/algorithm".
-//   - Root: the root rank for reduce, bcast, gather and scatter.
+//   - Root: the root rank for reduce, bcast, gather and scatter; it must
+//     name a rank of the world communicator.
 //   - Op: the reduction operation for reducing collectives; the zero Op
 //     defaults to Sum.
 //   - Send/Recv: the buffers. Bcast operates in place on Send (Recv is
 //     accepted as an alias when Send is nil); all other collectives read
 //     Send and write Recv.
 //   - Count: the per-rank element count n. Buffer shapes follow each
-//     collective's convention (e.g. all-gather reads n elements from Send
-//     and writes p*n to Recv).
+//     collective's convention (coll.Call.Shape: e.g. all-gather reads n
+//     elements from Send and writes p*n to Recv); larger buffers are
+//     accepted, shorter ones rejected.
 type Req struct {
 	Collective string
 	Alg        string
@@ -52,16 +57,6 @@ type Req struct {
 	Count      int64
 }
 
-// paperCollective reports whether Tuned/Resilience dispatch exists for the
-// collective (the five the paper evaluates).
-func paperCollective(c string) bool {
-	switch c {
-	case "allreduce", "reduce-scatter", "reduce", "bcast", "allgather":
-		return true
-	}
-	return false
-}
-
 // normalizeCollective folds accepted aliases onto canonical names.
 func normalizeCollective(c string) string {
 	switch c {
@@ -73,185 +68,90 @@ func normalizeCollective(c string) string {
 	return c
 }
 
-// validate checks the request's cross-field constraints and returns the
-// canonicalized request.
-func (q Req) validate() (Req, error) {
+// bind canonicalizes the request, checks it against r's world
+// communicator and binds the coll.Call it describes. Every error names the
+// collective and, where one is at fault, the Req field.
+func (q *Req) bind(r *Rank) (coll.Func, error) {
 	q.Collective = normalizeCollective(q.Collective)
-	switch q.Collective {
-	case "allreduce", "reduce-scatter", "reduce", "bcast", "allgather",
-		"gather", "scatter", "alltoall", "scan":
-	case "":
-		return q, fmt.Errorf("yhccl: Req.Collective is empty")
-	default:
-		return q, fmt.Errorf("yhccl: unknown collective %q", q.Collective)
+	if q.Collective == "" {
+		return nil, fmt.Errorf("yhccl: Req.Collective is empty")
 	}
+	fail := func(format string, args ...any) (coll.Func, error) {
+		return nil, fmt.Errorf("yhccl: %s: %s", q.Collective, fmt.Sprintf(format, args...))
+	}
+	p := r.World().Size()
 	if q.Count <= 0 {
-		return q, fmt.Errorf("yhccl: %s: Req.Count must be positive, got %d", q.Collective, q.Count)
+		return fail("Req.Count must be positive, got %d", q.Count)
+	}
+	if q.Count > math.MaxInt64/memmodel.ElemSize/int64(p) {
+		return fail("Req.Count %d overflows the %d-rank message size", q.Count, p)
 	}
 	if q.Tuned && q.Resilience {
-		return q, fmt.Errorf("yhccl: %s: Tuned and Resilience are mutually exclusive", q.Collective)
+		return fail("Tuned and Resilience are mutually exclusive")
 	}
 	if q.Tuned && q.Alg != "" {
-		return q, fmt.Errorf("yhccl: %s: Tuned dispatch picks the algorithm; Alg %q conflicts", q.Collective, q.Alg)
+		return fail("Tuned dispatch picks the algorithm; Alg %q conflicts", q.Alg)
 	}
-	if (q.Tuned || q.Resilience) && !paperCollective(q.Collective) {
+	if _, err := plan.ParseColl(q.Collective); err != nil && (q.Tuned || q.Resilience) {
 		mode := "Tuned"
 		if q.Resilience {
 			mode = "Resilience"
 		}
-		return q, fmt.Errorf("yhccl: %s: %s dispatch covers only the paper collectives (allreduce, reduce-scatter, reduce, bcast, allgather)", q.Collective, mode)
+		return fail("%s dispatch covers only the paper collectives (allreduce, reduce-scatter, reduce, bcast, allgather)", mode)
 	}
+	switch q.Collective {
+	case "reduce", "bcast", "gather", "scatter":
+		if q.Root < 0 || q.Root >= p {
+			return fail("Req.Root %d outside 0..%d", q.Root, p-1)
+		}
+	}
+	c := coll.Call{
+		Coll:      q.Collective,
+		Params:    plan.Params{Family: q.Alg},
+		Resilient: q.Resilience,
+		N:         q.Count,
+		Root:      q.Root,
+		Op:        q.Op,
+		Options:   q.Options,
+	}
+	if q.Tuned {
+		c.Planner = coll.PlannerOf(r.Machine())
+	}
+	_, f, err := c.Bind(p) // rejects an unknown collective or algorithm
+	if err != nil {
+		return nil, err
+	}
+	send, recv := c.Shape(p)
 	if q.Collective == "bcast" {
 		if q.Send == nil {
 			q.Send = q.Recv
 		}
 		if q.Send == nil {
-			return q, fmt.Errorf("yhccl: bcast: Req.Send (in-place buffer) is nil")
+			return fail("Req.Send (in-place buffer) is nil")
 		}
-	} else {
-		if q.Send == nil || q.Recv == nil {
-			return q, fmt.Errorf("yhccl: %s: Req.Send and Req.Recv must both be set", q.Collective)
-		}
+	} else if q.Send == nil || q.Recv == nil {
+		return fail("Req.Send and Req.Recv must both be set")
 	}
-	if q.Op.Name == "" {
-		q.Op = Sum
+	if q.Send.Elems < send {
+		return fail("Req.Send holds %d elements, need %d", q.Send.Elems, send)
 	}
-	if q.Alg == "" {
-		q.Alg = "yhccl"
+	if q.Recv != nil && q.Recv.Elems < recv {
+		return fail("Req.Recv holds %d elements, need %d", q.Recv.Elems, recv)
 	}
-	return q, nil
+	return f, nil
 }
 
 // Exec runs one collective described by q on r's world communicator. It is
 // the library's single entry point. Exec returns an error for malformed
 // requests (unknown collective or algorithm, conflicting dispatch modes,
-// missing buffers) before any data moves; a valid request executes exactly
-// the registry implementation it names on the world communicator.
+// missing or short buffers, a root outside the communicator) before any
+// data moves; a valid request executes exactly the registry implementation
+// it names on the world communicator.
 func Exec(r *Rank, q Req) error {
-	q, err := q.validate()
+	f, err := q.bind(r)
 	if err != nil {
 		return err
 	}
-	c := r.World()
-	sb, rb, n := q.Send, q.Recv, q.Count
-	switch q.Collective {
-	case "allreduce":
-		if q.Tuned {
-			coll.TunedAllreduce(plannerOf(r), r, c, sb, rb, n, q.Op, q.Options)
-			return nil
-		}
-		f, err := resolveAR(q)
-		if err != nil {
-			return err
-		}
-		f(r, c, sb, rb, n, q.Op, q.Options)
-	case "reduce-scatter":
-		if q.Tuned {
-			coll.TunedReduceScatter(plannerOf(r), r, c, sb, rb, n, q.Op, q.Options)
-			return nil
-		}
-		f, err := resolveRS(q)
-		if err != nil {
-			return err
-		}
-		f(r, c, sb, rb, n, q.Op, q.Options)
-	case "reduce":
-		if q.Tuned {
-			coll.TunedReduce(plannerOf(r), r, c, sb, rb, n, q.Op, q.Root, q.Options)
-			return nil
-		}
-		f, err := resolveReduce(q)
-		if err != nil {
-			return err
-		}
-		f(r, c, sb, rb, n, q.Op, q.Root, q.Options)
-	case "bcast":
-		if q.Tuned {
-			coll.TunedBcast(plannerOf(r), r, c, sb, n, q.Root, q.Options)
-			return nil
-		}
-		f, err := resolveBcast(q)
-		if err != nil {
-			return err
-		}
-		f(r, c, sb, n, q.Root, q.Options)
-	case "allgather":
-		if q.Tuned {
-			coll.TunedAllgather(plannerOf(r), r, c, sb, rb, n, q.Options)
-			return nil
-		}
-		f, err := resolveAG(q)
-		if err != nil {
-			return err
-		}
-		f(r, c, sb, rb, n, q.Options)
-	case "gather":
-		f, err := coll.Lookup(coll.GatherAlgos, q.Alg)
-		if err != nil {
-			return err
-		}
-		f(r, c, sb, rb, n, q.Root, q.Options)
-	case "scatter":
-		f, err := coll.Lookup(coll.ScatterAlgos, q.Alg)
-		if err != nil {
-			return err
-		}
-		f(r, c, sb, rb, n, q.Root, q.Options)
-	case "alltoall":
-		f, err := coll.Lookup(coll.AlltoallAlgos, q.Alg)
-		if err != nil {
-			return err
-		}
-		f(r, c, sb, rb, n, q.Options)
-	case "scan":
-		f, err := coll.Lookup(coll.ScanAlgos, q.Alg)
-		if err != nil {
-			return err
-		}
-		f(r, c, sb, rb, n, q.Op, q.Options)
-	}
+	f(r, r.World(), q.Send, q.Recv)
 	return nil
-}
-
-// resolveAR picks the all-reduce implementation for a validated request:
-// resilient chain dispatch when asked, plain registry lookup otherwise
-// (uninstrumented, keeping the healthy path identical to a direct call).
-func resolveAR(q Req) (coll.ARFunc, error) {
-	if q.Resilience {
-		_, f, err := coll.ResilientAR(q.Alg, q.Options)
-		return f, err
-	}
-	return coll.Lookup(coll.AllreduceAlgos, q.Alg)
-}
-
-func resolveRS(q Req) (coll.RSFunc, error) {
-	if q.Resilience {
-		_, f, err := coll.ResilientRS(q.Alg, q.Options)
-		return f, err
-	}
-	return coll.Lookup(coll.ReduceScatterAlgos, q.Alg)
-}
-
-func resolveReduce(q Req) (coll.ReduceFunc, error) {
-	if q.Resilience {
-		_, f, err := coll.ResilientReduce(q.Alg, q.Options)
-		return f, err
-	}
-	return coll.Lookup(coll.ReduceAlgos, q.Alg)
-}
-
-func resolveBcast(q Req) (coll.BcastFunc, error) {
-	if q.Resilience {
-		_, f, err := coll.ResilientBcast(q.Alg, q.Options)
-		return f, err
-	}
-	return coll.Lookup(coll.BcastAlgos, q.Alg)
-}
-
-func resolveAG(q Req) (coll.AGFunc, error) {
-	if q.Resilience {
-		_, f, err := coll.ResilientAG(q.Alg, q.Options)
-		return f, err
-	}
-	return coll.Lookup(coll.AllgatherAlgos, q.Alg)
 }

@@ -33,7 +33,7 @@ func ablSlice(quick bool) (*Figure, error) {
 	}
 	ys := make([]float64, len(imaxes))
 	for i, imax := range imaxes {
-		ys[i] = measureAllreduce(node, 64, coll.AllreduceSocketMA, s, coll.Options{SliceMaxBytes: imax})
+		ys[i] = measure(node, 64, algCall("allreduce", "socket-ma", coll.Options{SliceMaxBytes: imax}), s)
 	}
 	f.Series = []Series{{Name: "socket-MA all-reduce", Y: ys}}
 	return f, nil
@@ -42,17 +42,17 @@ func ablSlice(quick bool) (*Figure, error) {
 // ablSocket compares flat MA and socket-aware MA across sizes.
 func ablSocket(quick bool) (*Figure, error) {
 	node := topo.NodeB()
-	sizes := msgSizes(quick)
+	sizes := MsgSizes(quick)
 	f := &Figure{
 		ID: "abl-socket", Title: "Socket-aware vs flat MA (NodeB p=48 all-reduce)",
 		XLabel: "Msg bytes", XValues: sizes, YLabel: "time (us)", Baseline: "socket-aware",
 		Notes: []string{"socket-aware pays +2(m-1)s DAV for p/m-deep sync chains instead of p-deep"},
 	}
 	f.Series = append(f.Series, Series{Name: "socket-aware", Y: sweep(sizes, func(s int64) float64 {
-		return measureAllreduce(node, 48, coll.AllreduceSocketMA, s, nodeOptions(node))
+		return measure(node, 48, algCall("allreduce", "socket-ma", NodeOptions(node)), s)
 	})})
 	f.Series = append(f.Series, Series{Name: "flat MA", Y: sweep(sizes, func(s int64) float64 {
-		return measureAllreduce(node, 48, coll.AllreduceMA, s, nodeOptions(node))
+		return measure(node, 48, algCall("allreduce", "ma", NodeOptions(node)), s)
 	})})
 	return f, nil
 }
@@ -65,7 +65,7 @@ func ablCacheRule(quick bool) (*Figure, error) {
 	inclusive := topo.NodeA()
 	inclusive.Name = "NodeA-inclusive"
 	inclusive.L3Inclusive = true
-	sizes := msgSizes(quick)
+	sizes := MsgSizes(quick)
 	f := &Figure{
 		ID: "abl-cacherule", Title: "Available-cache rule ablation (NodeA p=64 all-reduce, adaptive copy)",
 		XLabel: "Msg bytes", XValues: sizes, YLabel: "time (us)",
@@ -75,10 +75,10 @@ func ablCacheRule(quick bool) (*Figure, error) {
 		},
 	}
 	f.Series = append(f.Series, Series{Name: "non-inclusive rule", Y: sweep(sizes, func(s int64) float64 {
-		return measureAllreduce(normal, 64, coll.AllreduceSocketMA, s, coll.Options{})
+		return measure(normal, 64, algCall("allreduce", "socket-ma", coll.Options{}), s)
 	})})
 	f.Series = append(f.Series, Series{Name: "inclusive rule", Y: sweep(sizes, func(s int64) float64 {
-		return measureAllreduce(inclusive, 64, coll.AllreduceSocketMA, s, coll.Options{})
+		return measure(inclusive, 64, algCall("allreduce", "socket-ma", coll.Options{}), s)
 	})})
 	return f, nil
 }
@@ -100,7 +100,7 @@ func ablSwitch(quick bool) (*Figure, error) {
 		s := s
 		ys := make([]float64, len(thresholds))
 		for i, th := range thresholds {
-			ys[i] = measureAllreduce(node, 48, coll.AllreduceYHCCL, s, coll.Options{SwitchSmallBytes: th})
+			ys[i] = measure(node, 48, algCall("allreduce", "yhccl", coll.Options{SwitchSmallBytes: th}), s)
 		}
 		f.Series = append(f.Series, Series{Name: "msg " + ByteSize(s), Y: ys})
 	}
@@ -118,7 +118,7 @@ func ablRGDegree(quick bool) (*Figure, error) {
 	}
 	ys := make([]float64, len(degrees))
 	for i, k := range degrees {
-		ys[i] = measureAllreduce(node, 64, coll.AllreduceRG, s, coll.Options{RGDegree: int(k)})
+		ys[i] = measure(node, 64, algCall("allreduce", "rg", coll.Options{RGDegree: int(k)}), s)
 	}
 	f.Series = []Series{{Name: "RG all-reduce", Y: ys}}
 	return f, nil

@@ -11,10 +11,7 @@ import (
 	"sort"
 	"strings"
 
-	"yhccl/internal/coll"
-	"yhccl/internal/memmodel"
 	"yhccl/internal/mpi"
-	"yhccl/internal/topo"
 )
 
 // Series is one curve of a figure.
@@ -224,33 +221,6 @@ func printAligned(w io.Writer, cols []string, rows [][]string) {
 	}
 }
 
-// msgSizes returns the paper's 64 KB - 256 MB sweep (13 points), or a
-// 3-point subset in quick mode. The quick large point is 64 MB: NodeA's
-// 294 MB of cache absorbs anything smaller, hiding the large-message
-// regime the paper's headline results live in.
-func msgSizes(quick bool) []int64 {
-	if quick {
-		return []int64{64 << 10, 2 << 20, 64 << 20}
-	}
-	var out []int64
-	for s := int64(64 << 10); s <= 256<<20; s *= 2 {
-		out = append(out, s)
-	}
-	return out
-}
-
-// smallMsgSizes is the 8 KB - 8 MB all-gather sweep.
-func smallMsgSizes(quick bool) []int64 {
-	if quick {
-		return []int64{8 << 10, 256 << 10, 2 << 20}
-	}
-	var out []int64
-	for s := int64(8 << 10); s <= 8<<20; s *= 2 {
-		out = append(out, s)
-	}
-	return out
-}
-
 // steadyState runs body twice on the machine (warm-up + measured) and
 // returns the measured makespan, mirroring the OSU iteration loop: the
 // first run's makespan is discarded, it exists only to populate the
@@ -276,72 +246,6 @@ func steadyState(m *mpi.Machine, body func(r *mpi.Rank)) float64 {
 			"run starts warm")
 	}
 	return m.MustRun(body)
-}
-
-// arRunner builds a steady-state all-reduce measurement for one algorithm
-// at message size sBytes.
-func measureAllreduce(node *topo.Node, p int, alg coll.ARFunc, sBytes int64, o coll.Options) float64 {
-	n := sBytes / memmodel.ElemSize
-	m := mpi.NewMachine(node, p, false)
-	return steadyState(m, func(r *mpi.Rank) {
-		sb := r.PersistentBuffer("bench/sb", n)
-		rb := r.PersistentBuffer("bench/rb", n)
-		r.Warm(sb, 0, n) // the application updates buffers each iteration
-		r.Warm(rb, 0, n)
-		alg(r, r.World(), sb, rb, n, mpi.Sum, o)
-	})
-}
-
-// measureReduceScatter measures a reduce-scatter at total message sBytes.
-func measureReduceScatter(node *topo.Node, p int, alg coll.RSFunc, sBytes int64, o coll.Options) float64 {
-	n := sBytes / memmodel.ElemSize / int64(p)
-	if n < 1 {
-		n = 1
-	}
-	m := mpi.NewMachine(node, p, false)
-	return steadyState(m, func(r *mpi.Rank) {
-		sb := r.PersistentBuffer("bench/sb", n*int64(p))
-		rb := r.PersistentBuffer("bench/rb", n)
-		r.Warm(sb, 0, n*int64(p))
-		r.Warm(rb, 0, n)
-		alg(r, r.World(), sb, rb, n, mpi.Sum, o)
-	})
-}
-
-// measureReduce measures a rooted reduce at message sBytes.
-func measureReduce(node *topo.Node, p int, alg coll.ReduceFunc, sBytes int64, o coll.Options) float64 {
-	n := sBytes / memmodel.ElemSize
-	m := mpi.NewMachine(node, p, false)
-	return steadyState(m, func(r *mpi.Rank) {
-		sb := r.PersistentBuffer("bench/sb", n)
-		rb := r.PersistentBuffer("bench/rb", n)
-		r.Warm(sb, 0, n)
-		r.Warm(rb, 0, n)
-		alg(r, r.World(), sb, rb, n, mpi.Sum, 0, o)
-	})
-}
-
-// measureBcast measures a broadcast at message sBytes.
-func measureBcast(node *topo.Node, p int, alg coll.BcastFunc, sBytes int64, o coll.Options) float64 {
-	n := sBytes / memmodel.ElemSize
-	m := mpi.NewMachine(node, p, false)
-	return steadyState(m, func(r *mpi.Rank) {
-		buf := r.PersistentBuffer("bench/buf", n)
-		r.Warm(buf, 0, n)
-		alg(r, r.World(), buf, n, 0, o)
-	})
-}
-
-// measureAllgather measures an all-gather at per-rank contribution sBytes.
-func measureAllgather(node *topo.Node, p int, alg coll.AGFunc, sBytes int64, o coll.Options) float64 {
-	n := sBytes / memmodel.ElemSize
-	m := mpi.NewMachine(node, p, false)
-	return steadyState(m, func(r *mpi.Rank) {
-		sb := r.PersistentBuffer("bench/sb", n)
-		rb := r.PersistentBuffer("bench/rb", n*int64(p))
-		r.Warm(sb, 0, n)
-		alg(r, r.World(), sb, rb, n, o)
-	})
 }
 
 // sweep fills a Figure series by applying measure to each size.

@@ -202,10 +202,11 @@ func TestGoldenRunTwiceIdentical(t *testing.T) {
 	}
 }
 
-// TestFigureDeterminism regenerates quick figure sweeps twice and requires
-// every series value to be bit-identical, guarding the scheduler fast
-// paths across the full experiment harness (flags, barriers, residency,
-// DAV counters all folded into the Y values).
+// TestFigureDeterminism regenerates quick figure sweeps and requires every
+// series value to be bit-identical to the memoized run the other figure
+// tests share — two independent runs in one process — guarding the
+// scheduler fast paths across the full experiment harness (flags,
+// barriers, residency, DAV counters all folded into the Y values).
 func TestFigureDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweeps in -short mode")
@@ -213,10 +214,7 @@ func TestFigureDeterminism(t *testing.T) {
 	for _, id := range []string{"fig9a", "fig11a"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			f1, err := Run(id, true)
-			if err != nil {
-				t.Fatal(err)
-			}
+			f1 := get(t, id)
 			f2, err := Run(id, true)
 			if err != nil {
 				t.Fatal(err)

@@ -21,148 +21,62 @@ import (
 // why kernel-assisted baselines cannot ride a warm cache.
 
 func init() {
-	register("fig15a", "Reduce-scatter vs state-of-the-art stand-ins, NodeA p=64", fig15ReduceScatter)
-	register("fig15b", "Reduce vs state-of-the-art stand-ins, NodeA p=64", fig15Reduce)
-	register("fig15c", "All-reduce vs state-of-the-art stand-ins, NodeA p=64", fig15Allreduce)
-	register("fig15d", "Broadcast vs state-of-the-art stand-ins, NodeA p=64", fig15Bcast)
-	register("fig15e", "All-gather vs state-of-the-art stand-ins, NodeA p=64", fig15Allgather)
+	register("fig15a", "Reduce-scatter vs state-of-the-art stand-ins, NodeA p=64", fig15("fig15a", "Reduce-scatter", "reduce-scatter", MsgSizes, []series{
+		{"YHCCL", "yhccl"},
+		{"DPML", "dpml"},
+		{"Intel MPI", "rabenseifner"},
+		{"MVAPICH2", "two-level"},
+		{"MPICH", "ring"},
+		{"Open MPI", "ring"},
+		{"XPMEM", "xpmem"},
+	}))
+	register("fig15b", "Reduce vs state-of-the-art stand-ins, NodeA p=64", fig15("fig15b", "Reduce", "reduce", MsgSizes, []series{
+		{"YHCCL", "yhccl"},
+		{"RG", "rg"},
+		{"Intel MPI", "rg"},
+		{"MVAPICH2", "two-level"},
+		{"MPICH", "dpml"},
+		{"Open MPI", "dpml"},
+		{"XPMEM", "xpmem"},
+	}))
+	register("fig15c", "All-reduce vs state-of-the-art stand-ins, NodeA p=64", fig15("fig15c", "All-reduce", "allreduce", MsgSizes, []series{
+		{"YHCCL", "yhccl"},
+		{"DPML", "dpml"},
+		{"RG", "rg"},
+		{"Intel MPI", "rg"},
+		{"MVAPICH2", "two-level"},
+		{"MPICH", "rabenseifner"},
+		{"Open MPI", "cma"},
+		{"XPMEM", "xpmem"},
+	}))
+	register("fig15d", "Broadcast vs state-of-the-art stand-ins, NodeA p=64", fig15("fig15d", "Broadcast", "bcast", MsgSizes, []series{
+		{"YHCCL", "pipelined"},
+		{"Intel MPI", "binomial"},
+		{"MVAPICH2", "binomial"},
+		{"MPICH", "binomial"},
+		{"Open MPI", "cma"},
+		{"XPMEM", "xpmem"},
+	}, "XPMEM overtakes YHCCL past the memmove NT threshold (paper §5.5)"))
+	register("fig15e", "All-gather vs state-of-the-art stand-ins, NodeA p=64", fig15("fig15e", "All-gather", "allgather", SmallMsgSizes, []series{
+		{"YHCCL", "pipelined"},
+		{"Intel MPI", "ring"},
+		{"MVAPICH2", "ring"},
+		{"MPICH", "ring"},
+		{"Open MPI", "ring"},
+		{"XPMEM", "xpmem"},
+	}))
 }
 
-const fig15P = 64
-
-func fig15Node() *topo.Node { return topo.NodeA() }
-
-func fig15ReduceScatter(quick bool) (*Figure, error) {
-	sizes := msgSizes(quick)
-	algs := []struct {
-		name string
-		f    coll.RSFunc
-	}{
-		{"YHCCL", coll.ReduceScatterYHCCL},
-		{"DPML", coll.ReduceScatterDPML},
-		{"Intel MPI", coll.ReduceScatterRabenseifner},
-		{"MVAPICH2", coll.ReduceScatterTwoLevel},
-		{"MPICH", coll.ReduceScatterRing},
-		{"Open MPI", coll.ReduceScatterRing},
-		{"XPMEM", coll.ReduceScatterXPMEM},
+// fig15 is one Fig. 15 panel: the collective's stand-ins on NodeA p=64
+// with default options, relative to YHCCL.
+func fig15(id, title, collective string, sizes func(quick bool) []int64, algs []series, notes ...string) Runner {
+	return func(quick bool) (*Figure, error) {
+		f := &Figure{
+			ID: id, Title: title + " vs state-of-the-art (NodeA, p=64)",
+			XLabel: "Msg bytes", XValues: sizes(quick), YLabel: "time (us)", Baseline: "YHCCL",
+			Notes: notes,
+		}
+		f.sweepAlgs(topo.NodeA(), 64, collective, coll.Options{}, algs)
+		return f, nil
 	}
-	f := &Figure{
-		ID: "fig15a", Title: "Reduce-scatter vs state-of-the-art (NodeA, p=64)",
-		XLabel: "Msg bytes", XValues: sizes, YLabel: "time (us)", Baseline: "YHCCL",
-	}
-	for _, a := range algs {
-		a := a
-		f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-			return measureReduceScatter(fig15Node(), fig15P, a.f, s, coll.Options{})
-		})})
-	}
-	return f, nil
-}
-
-func fig15Reduce(quick bool) (*Figure, error) {
-	sizes := msgSizes(quick)
-	algs := []struct {
-		name string
-		f    coll.ReduceFunc
-	}{
-		{"YHCCL", coll.ReduceYHCCL},
-		{"RG", coll.ReduceRG},
-		{"Intel MPI", coll.ReduceRG},
-		{"MVAPICH2", coll.ReduceTwoLevel},
-		{"MPICH", coll.ReduceDPML},
-		{"Open MPI", coll.ReduceDPML},
-		{"XPMEM", coll.ReduceXPMEM},
-	}
-	f := &Figure{
-		ID: "fig15b", Title: "Reduce vs state-of-the-art (NodeA, p=64)",
-		XLabel: "Msg bytes", XValues: sizes, YLabel: "time (us)", Baseline: "YHCCL",
-	}
-	for _, a := range algs {
-		a := a
-		f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-			return measureReduce(fig15Node(), fig15P, a.f, s, coll.Options{})
-		})})
-	}
-	return f, nil
-}
-
-func fig15Allreduce(quick bool) (*Figure, error) {
-	sizes := msgSizes(quick)
-	algs := []struct {
-		name string
-		f    coll.ARFunc
-	}{
-		{"YHCCL", coll.AllreduceYHCCL},
-		{"DPML", coll.AllreduceDPML},
-		{"RG", coll.AllreduceRG},
-		{"Intel MPI", coll.AllreduceRG},
-		{"MVAPICH2", coll.AllreduceTwoLevel},
-		{"MPICH", coll.AllreduceRabenseifner},
-		{"Open MPI", coll.AllreduceCMA},
-		{"XPMEM", coll.AllreduceXPMEM},
-	}
-	f := &Figure{
-		ID: "fig15c", Title: "All-reduce vs state-of-the-art (NodeA, p=64)",
-		XLabel: "Msg bytes", XValues: sizes, YLabel: "time (us)", Baseline: "YHCCL",
-	}
-	for _, a := range algs {
-		a := a
-		f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-			return measureAllreduce(fig15Node(), fig15P, a.f, s, coll.Options{})
-		})})
-	}
-	return f, nil
-}
-
-func fig15Bcast(quick bool) (*Figure, error) {
-	sizes := msgSizes(quick)
-	algs := []struct {
-		name string
-		f    coll.BcastFunc
-	}{
-		{"YHCCL", coll.BcastPipelined},
-		{"Intel MPI", coll.BcastBinomial},
-		{"MVAPICH2", coll.BcastBinomial},
-		{"MPICH", coll.BcastBinomial},
-		{"Open MPI", coll.BcastCMA},
-		{"XPMEM", coll.BcastXPMEM},
-	}
-	f := &Figure{
-		ID: "fig15d", Title: "Broadcast vs state-of-the-art (NodeA, p=64)",
-		XLabel: "Msg bytes", XValues: sizes, YLabel: "time (us)", Baseline: "YHCCL",
-		Notes: []string{"XPMEM overtakes YHCCL past the memmove NT threshold (paper §5.5)"},
-	}
-	for _, a := range algs {
-		a := a
-		f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-			return measureBcast(fig15Node(), fig15P, a.f, s, coll.Options{})
-		})})
-	}
-	return f, nil
-}
-
-func fig15Allgather(quick bool) (*Figure, error) {
-	sizes := smallMsgSizes(quick)
-	algs := []struct {
-		name string
-		f    coll.AGFunc
-	}{
-		{"YHCCL", coll.AllgatherPipelined},
-		{"Intel MPI", coll.AllgatherRing},
-		{"MVAPICH2", coll.AllgatherRing},
-		{"MPICH", coll.AllgatherRing},
-		{"Open MPI", coll.AllgatherRing},
-		{"XPMEM", coll.AllgatherXPMEM},
-	}
-	f := &Figure{
-		ID: "fig15e", Title: "All-gather vs state-of-the-art (NodeA, p=64)",
-		XLabel: "Msg bytes", XValues: sizes, YLabel: "time (us)", Baseline: "YHCCL",
-	}
-	for _, a := range algs {
-		a := a
-		f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-			return measureAllgather(fig15Node(), fig15P, a.f, s, coll.Options{})
-		})})
-	}
-	return f, nil
 }

@@ -12,117 +12,52 @@ import (
 // single-node scalability sweep.
 
 func init() {
-	register("fig9a", "Reduce-scatter algorithm comparison, NodeA p=64", figReduceScatter(topo.NodeA(), 64))
-	register("fig9b", "Reduce-scatter algorithm comparison, NodeB p=48", figReduceScatter(topo.NodeB(), 48))
-	register("fig10a", "Reduce algorithm comparison, NodeA p=64", figReduce(topo.NodeA(), 64))
-	register("fig10b", "Reduce algorithm comparison, NodeB p=48", figReduce(topo.NodeB(), 48))
-	register("fig11a", "All-reduce algorithm comparison, NodeA p=64", figAllreduce(topo.NodeA(), 64))
-	register("fig11b", "All-reduce algorithm comparison, NodeB p=48", figAllreduce(topo.NodeB(), 48))
+	register("fig9a", "Reduce-scatter algorithm comparison, NodeA p=64", figReduction("fig9", "Reduce-scatter", "reduce-scatter", topo.NodeA(), 64, rsAlgs))
+	register("fig9b", "Reduce-scatter algorithm comparison, NodeB p=48", figReduction("fig9", "Reduce-scatter", "reduce-scatter", topo.NodeB(), 48, rsAlgs))
+	register("fig10a", "Reduce algorithm comparison, NodeA p=64", figReduction("fig10", "Reduce", "reduce", topo.NodeA(), 64, reduceAlgs))
+	register("fig10b", "Reduce algorithm comparison, NodeB p=48", figReduction("fig10", "Reduce", "reduce", topo.NodeB(), 48, reduceAlgs))
+	register("fig11a", "All-reduce algorithm comparison, NodeA p=64", figReduction("fig11", "All-reduce", "allreduce", topo.NodeA(), 64, arAlgs))
+	register("fig11b", "All-reduce algorithm comparison, NodeB p=48", figReduction("fig11", "All-reduce", "allreduce", topo.NodeB(), 48, arAlgs))
 	register("fig16a", "Single-node all-reduce scalability, NodeA p=2..64 @ 64MB", figScalability)
 }
 
-// nodeOptions returns the paper's per-node tuning (Imax 256 KB on NodeA,
-// 128 KB on NodeB, §5.3).
-func nodeOptions(node *topo.Node) coll.Options {
-	o := coll.Options{}
-	if node.Name == "NodeB" {
-		o.SliceMaxBytes = 128 << 10
+var (
+	rsAlgs = []series{
+		{"Socket-aware MA (ours)", "socket-ma"},
+		{"MA (ours)", "ma"},
+		{"DPML", "dpml"},
+		{"Ring", "ring"},
+		{"Rabenseifner", "rabenseifner"},
 	}
-	return o
-}
+	reduceAlgs = []series{
+		{"Socket-aware MA (ours)", "socket-ma"},
+		{"MA (ours)", "ma"},
+		{"DPML", "dpml"},
+		{"RG", "rg"},
+	}
+	arAlgs = []series{
+		{"Socket-aware MA (ours)", "socket-ma"},
+		{"MA (ours)", "ma"},
+		{"DPML", "dpml"},
+		{"RG", "rg"},
+		{"Ring", "ring"},
+		{"Rabenseifner", "rabenseifner"},
+	}
+)
 
-func figReduceScatter(node *topo.Node, p int) Runner {
+// figReduction compares the reduction algorithms of one collective on a
+// node across the paper's message sweep, relative to socket-aware MA.
+func figReduction(id, title, collective string, node *topo.Node, p int, algs []series) Runner {
 	return func(quick bool) (*Figure, error) {
-		sizes := msgSizes(quick)
-		o := nodeOptions(node)
-		algs := []struct {
-			name string
-			f    coll.RSFunc
-		}{
-			{"Socket-aware MA (ours)", coll.ReduceScatterSocketMA},
-			{"MA (ours)", coll.ReduceScatterMA},
-			{"DPML", coll.ReduceScatterDPML},
-			{"Ring", coll.ReduceScatterRing},
-			{"Rabenseifner", coll.ReduceScatterRabenseifner},
-		}
 		f := &Figure{
-			ID:       fmt.Sprintf("fig9%s", nodeSuffix(node)),
-			Title:    fmt.Sprintf("Reduce-scatter comparison (%s, p=%d)", node.Name, p),
+			ID:       id + nodeSuffix(node),
+			Title:    fmt.Sprintf("%s comparison (%s, p=%d)", title, node.Name, p),
 			XLabel:   "Msg bytes",
-			XValues:  sizes,
+			XValues:  MsgSizes(quick),
 			YLabel:   "time (us)",
 			Baseline: "Socket-aware MA (ours)",
 		}
-		for _, a := range algs {
-			a := a
-			f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-				return measureReduceScatter(node, p, a.f, s, o)
-			})})
-		}
-		return f, nil
-	}
-}
-
-func figReduce(node *topo.Node, p int) Runner {
-	return func(quick bool) (*Figure, error) {
-		sizes := msgSizes(quick)
-		o := nodeOptions(node)
-		algs := []struct {
-			name string
-			f    coll.ReduceFunc
-		}{
-			{"Socket-aware MA (ours)", coll.ReduceSocketMA},
-			{"MA (ours)", coll.ReduceMA},
-			{"DPML", coll.ReduceDPML},
-			{"RG", coll.ReduceRG},
-		}
-		f := &Figure{
-			ID:       fmt.Sprintf("fig10%s", nodeSuffix(node)),
-			Title:    fmt.Sprintf("Reduce comparison (%s, p=%d)", node.Name, p),
-			XLabel:   "Msg bytes",
-			XValues:  sizes,
-			YLabel:   "time (us)",
-			Baseline: "Socket-aware MA (ours)",
-		}
-		for _, a := range algs {
-			a := a
-			f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-				return measureReduce(node, p, a.f, s, o)
-			})})
-		}
-		return f, nil
-	}
-}
-
-func figAllreduce(node *topo.Node, p int) Runner {
-	return func(quick bool) (*Figure, error) {
-		sizes := msgSizes(quick)
-		o := nodeOptions(node)
-		algs := []struct {
-			name string
-			f    coll.ARFunc
-		}{
-			{"Socket-aware MA (ours)", coll.AllreduceSocketMA},
-			{"MA (ours)", coll.AllreduceMA},
-			{"DPML", coll.AllreduceDPML},
-			{"RG", coll.AllreduceRG},
-			{"Ring", coll.AllreduceRing},
-			{"Rabenseifner", coll.AllreduceRabenseifner},
-		}
-		f := &Figure{
-			ID:       fmt.Sprintf("fig11%s", nodeSuffix(node)),
-			Title:    fmt.Sprintf("All-reduce comparison (%s, p=%d)", node.Name, p),
-			XLabel:   "Msg bytes",
-			XValues:  sizes,
-			YLabel:   "time (us)",
-			Baseline: "Socket-aware MA (ours)",
-		}
-		for _, a := range algs {
-			a := a
-			f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-				return measureAllreduce(node, p, a.f, s, o)
-			})})
-		}
+		f.sweepAlgs(node, p, collective, NodeOptions(node), algs)
 		return f, nil
 	}
 }
@@ -135,16 +70,13 @@ func figScalability(quick bool) (*Figure, error) {
 		ps = []int{2, 8, 64}
 	}
 	const s = 64 << 20
-	algs := []struct {
-		name string
-		f    coll.ARFunc
-	}{
-		{"YHCCL", coll.AllreduceYHCCL},
-		{"DPML", coll.AllreduceDPML},
-		{"RG", coll.AllreduceRG},
-		{"Open MPI (ring)", coll.AllreduceRing},
-		{"MPICH (Rabenseifner)", coll.AllreduceRabenseifner},
-		{"Hashmi's XPMEM", coll.AllreduceXPMEM},
+	algs := []series{
+		{"YHCCL", "yhccl"},
+		{"DPML", "dpml"},
+		{"RG", "rg"},
+		{"Open MPI (ring)", "ring"},
+		{"MPICH (Rabenseifner)", "rabenseifner"},
+		{"Hashmi's XPMEM", "xpmem"},
 	}
 	f := &Figure{
 		ID:     "fig16a",
@@ -159,7 +91,7 @@ func figScalability(quick bool) (*Figure, error) {
 	for _, a := range algs {
 		ys := make([]float64, len(ps))
 		for i, p := range ps {
-			ys[i] = measureAllreduce(node, p, a.f, s, coll.Options{})
+			ys[i] = measure(node, p, algCall("allreduce", a.alg, coll.Options{}), s)
 		}
 		f.Series = append(f.Series, Series{Name: a.name, Y: ys})
 	}

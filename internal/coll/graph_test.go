@@ -217,11 +217,15 @@ func TestGraphExecutorRandomSchedules(t *testing.T) {
 func TestTunedDispatchFallback(t *testing.T) {
 	p, n := 4, int64(512)
 	m := mpi.NewMachine(topo.NodeA(), p, true)
+	name, f, err := Call{Coll: "allreduce", Planner: PlannerOf(m), N: n}.Bind(p)
+	if err != nil || name != "yhccl" {
+		t.Fatalf("bound %q, %v; want the hand-tuned yhccl switch", name, err)
+	}
 	m.MustRun(func(r *mpi.Rank) {
 		sb := r.NewBuffer("sb", n)
 		rb := r.NewBuffer("rb", n)
 		r.FillPattern(sb, float64(r.ID()))
-		TunedAllreduce(nil, r, r.World(), sb, rb, n, mpi.Sum, Options{})
+		f(r, r.World(), sb, rb)
 		for j := int64(0); j < n; j += 3 {
 			if got, want := rb.Slice(j, 1)[0], expectSum(p, j); got != want {
 				t.Errorf("rank %d rb[%d] = %v, want %v", r.ID(), j, got, want)
@@ -244,11 +248,15 @@ func TestTunedDispatchUsesPlan(t *testing.T) {
 	pl := NewPlanner(tab)
 	m := mpi.NewMachine(topo.NodeA(), p, true)
 	m.SetTuning(pl)
+	name, f, err := Call{Coll: "allreduce", Planner: PlannerOf(m), N: n}.Bind(p)
+	if err != nil || name != "fanout" {
+		t.Fatalf("bound %q, %v; want the plan's fanout", name, err)
+	}
 	m.MustRun(func(r *mpi.Rank) {
 		sb := r.NewBuffer("sb", n)
 		rb := r.NewBuffer("rb", n)
 		r.FillPattern(sb, float64(r.ID()))
-		TunedAllreduce(PlannerOf(m), r, r.World(), sb, rb, n, mpi.Sum, Options{})
+		f(r, r.World(), sb, rb)
 		for j := int64(0); j < n; j += 3 {
 			if got, want := rb.Slice(j, 1)[0], expectSum(p, j); got != want {
 				t.Errorf("rank %d rb[%d] = %v, want %v", r.ID(), j, got, want)

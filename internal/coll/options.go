@@ -46,8 +46,8 @@ type Options struct {
 	// 256 KB, paper §5.1). Zero keeps the default; negative disables the
 	// switch.
 	SwitchSmallBytes int64
-	// FallbackDepth selects how far down the resilient fallback chain the
-	// Resilient* dispatchers resolve: 0 runs the primary algorithm, k the
+	// FallbackDepth selects how far down the fallback chain a resilient
+	// Call resolves: 0 runs the primary algorithm, k the
 	// k-th fallback (clamped to the end of the chain). Normally set by the
 	// recovery supervisor, not by hand.
 	FallbackDepth int

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"yhccl/internal/memcopy"
-	"yhccl/internal/memmodel"
 	"yhccl/internal/mpi"
 	"yhccl/internal/plan"
 	"yhccl/internal/schedule"
@@ -25,7 +24,7 @@ type Planner struct {
 }
 
 type graphKey struct {
-	coll plan.Coll
+	coll string
 	p    int
 	f    int
 }
@@ -45,155 +44,53 @@ func PlannerOf(m *mpi.Machine) *Planner {
 	return pl
 }
 
-// fanoutGraph returns the compiled DAG for the fanout family, building and
-// validating it on first use.
-func (pl *Planner) fanoutGraph(c plan.Coll, p, f int) *plan.Graph {
+// fanoutGraph returns the compiled fanout DAG of a collective, lowering
+// and caching it on first use.
+func (pl *Planner) fanoutGraph(collective string, p, f int) (*plan.Graph, error) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	k := graphKey{c, p, f}
+	k := graphKey{collective, p, f}
 	if g, ok := pl.graphs[k]; ok {
-		return g
+		return g, nil
 	}
-	var g *plan.Graph
-	var err error
-	switch c {
-	case plan.Allreduce:
-		g, err = plan.AllreduceFromSchedule(schedule.Fanout(p, f))
-	case plan.ReduceScatter:
-		g, err = plan.FromSchedule(schedule.Fanout(p, f))
-	default:
-		err = fmt.Errorf("coll: fanout family has no %s lowering", c)
+	g, err := lowerFanout(collective, p, f)
+	if err == nil {
+		pl.graphs[k] = g
 	}
-	if err != nil {
-		panic(err) // searched plans are validated at synthesis time
-	}
-	pl.graphs[k] = g
-	return g
+	return g, err
 }
 
-// ApplyParams overlays a plan's searched parameters onto base options:
+// lowerFanout lowers schedule.Fanout(p, f) to the collective's DAG (only
+// all-reduce and reduce-scatter have a fanout lowering).
+func lowerFanout(collective string, p, f int) (*plan.Graph, error) {
+	if p < 2 {
+		return nil, fmt.Errorf("coll: fanout schedule needs at least 2 ranks, got %d", p)
+	}
+	switch collective {
+	case "allreduce":
+		return plan.AllreduceFromSchedule(schedule.Fanout(p, f))
+	case "reduce-scatter":
+		return plan.FromSchedule(schedule.Fanout(p, f))
+	}
+	return nil, fmt.Errorf("coll: fanout family has no %s lowering", collective)
+}
+
+// applyParams overlays a plan's searched parameters onto base options:
 // pipeline slice bound, copy policy, RG degree. Unset params keep the
 // caller's values, so node-specific defaults still apply.
-func ApplyParams(o Options, pr plan.Params) Options {
+func applyParams(o Options, pr plan.Params) (Options, error) {
 	if pr.SliceKB > 0 {
 		o.SliceMaxBytes = pr.SliceKB << 10
 	}
 	if pr.Policy != "" {
 		pol, err := memcopy.ParsePolicy(pr.Policy)
 		if err != nil {
-			panic(err) // validated at synthesis time
+			return o, err
 		}
 		o = o.WithPolicy(pol)
 	}
 	if pr.RGDegree > 0 {
 		o.RGDegree = pr.RGDegree
 	}
-	return o
-}
-
-// The Tuned* dispatchers: one table lookup selects the synthesized plan for
-// the message size; a missing planner or an untuned collective falls back
-// to the hand-tuned YHCCL switch. These are what the facade's collective
-// entry points call on a tuned machine.
-
-// TunedAllreduce dispatches an all-reduce through the plan table.
-func TunedAllreduce(pl *Planner, r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, o Options) {
-	if pl == nil {
-		AllreduceYHCCL(r, c, sb, rb, n, op, o)
-		return
-	}
-	entry := pl.table.Lookup(plan.Allreduce, n*memmodel.ElemSize)
-	if entry == nil {
-		AllreduceYHCCL(r, c, sb, rb, n, op, o)
-		return
-	}
-	o = ApplyParams(o, entry.Params)
-	if entry.Params.Family == "fanout" {
-		g := pl.fanoutGraph(plan.Allreduce, c.Size(), entry.Params.Fanout)
-		AllreduceGraph(r, c, g, sb, rb, n, op, o)
-		return
-	}
-	f, err := Lookup(AllreduceAlgos, entry.Params.Family)
-	if err != nil {
-		panic(err)
-	}
-	f(r, c, sb, rb, n, op, o)
-}
-
-// TunedReduceScatter dispatches a reduce-scatter (sb p*n elems, rb n) by
-// total message size, matching the figure convention.
-func TunedReduceScatter(pl *Planner, r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, o Options) {
-	if pl == nil {
-		ReduceScatterYHCCL(r, c, sb, rb, n, op, o)
-		return
-	}
-	total := int64(c.Size()) * n * memmodel.ElemSize
-	entry := pl.table.Lookup(plan.ReduceScatter, total)
-	if entry == nil {
-		ReduceScatterYHCCL(r, c, sb, rb, n, op, o)
-		return
-	}
-	o = ApplyParams(o, entry.Params)
-	if entry.Params.Family == "fanout" {
-		g := pl.fanoutGraph(plan.ReduceScatter, c.Size(), entry.Params.Fanout)
-		ReduceScatterGraph(r, c, g, sb, rb, n, op, o)
-		return
-	}
-	f, err := Lookup(ReduceScatterAlgos, entry.Params.Family)
-	if err != nil {
-		panic(err)
-	}
-	f(r, c, sb, rb, n, op, o)
-}
-
-// TunedReduce dispatches a rooted reduce through the plan table.
-func TunedReduce(pl *Planner, r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, root int, o Options) {
-	var entry *plan.Plan
-	if pl != nil {
-		entry = pl.table.Lookup(plan.Reduce, n*memmodel.ElemSize)
-	}
-	if entry == nil {
-		ReduceYHCCL(r, c, sb, rb, n, op, root, o)
-		return
-	}
-	f, err := Lookup(ReduceAlgos, entry.Params.Family)
-	if err != nil {
-		panic(err)
-	}
-	f(r, c, sb, rb, n, op, root, ApplyParams(o, entry.Params))
-}
-
-// TunedBcast dispatches a broadcast through the plan table.
-func TunedBcast(pl *Planner, r *mpi.Rank, c *mpi.Comm, buf *memmodel.Buffer, n int64, root int, o Options) {
-	var entry *plan.Plan
-	if pl != nil {
-		entry = pl.table.Lookup(plan.Bcast, n*memmodel.ElemSize)
-	}
-	if entry == nil {
-		BcastPipelined(r, c, buf, n, root, o)
-		return
-	}
-	f, err := Lookup(BcastAlgos, entry.Params.Family)
-	if err != nil {
-		panic(err)
-	}
-	f(r, c, buf, n, root, ApplyParams(o, entry.Params))
-}
-
-// TunedAllgather dispatches an all-gather (sb n elems, rb p*n) keyed by the
-// per-rank contribution size.
-func TunedAllgather(pl *Planner, r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, o Options) {
-	var entry *plan.Plan
-	if pl != nil {
-		entry = pl.table.Lookup(plan.Allgather, n*memmodel.ElemSize)
-	}
-	if entry == nil {
-		AllgatherPipelined(r, c, sb, rb, n, o)
-		return
-	}
-	f, err := Lookup(AllgatherAlgos, entry.Params.Family)
-	if err != nil {
-		panic(err)
-	}
-	f(r, c, sb, rb, n, ApplyParams(o, entry.Params))
+	return o, nil
 }

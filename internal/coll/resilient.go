@@ -1,7 +1,5 @@
 package coll
 
-import "fmt"
-
 // Resilient dispatch: every collective has a fallback chain — the primary
 // algorithm followed by progressively more conservative variants — walked by
 // the recovery supervisor when the primary keeps failing under faults. The
@@ -53,59 +51,6 @@ func resolveChain(collective, primary string, o Options) string {
 		d = len(chain) - 1
 	}
 	return chain[d]
-}
-
-// ResilientAR resolves the all-reduce to run at o.FallbackDepth along
-// primary's fallback chain, returning the resolved name and an instrumented
-// implementation. Depth 0 is the primary itself, so a clean run dispatches
-// exactly what a direct registry lookup would.
-func ResilientAR(primary string, o Options) (string, ARFunc, error) {
-	name := resolveChain("allreduce", primary, o)
-	f, err := Lookup(AllreduceAlgos, name)
-	if err != nil {
-		return name, nil, fmt.Errorf("resilient allreduce: %w", err)
-	}
-	return name, InstrumentAR(name, f), nil
-}
-
-// ResilientRS is ResilientAR for reduce-scatter.
-func ResilientRS(primary string, o Options) (string, RSFunc, error) {
-	name := resolveChain("reduce-scatter", primary, o)
-	f, err := Lookup(ReduceScatterAlgos, name)
-	if err != nil {
-		return name, nil, fmt.Errorf("resilient reduce-scatter: %w", err)
-	}
-	return name, InstrumentRS(name, f), nil
-}
-
-// ResilientReduce is ResilientAR for rooted reduce.
-func ResilientReduce(primary string, o Options) (string, ReduceFunc, error) {
-	name := resolveChain("reduce", primary, o)
-	f, err := Lookup(ReduceAlgos, name)
-	if err != nil {
-		return name, nil, fmt.Errorf("resilient reduce: %w", err)
-	}
-	return name, InstrumentReduce(name, f), nil
-}
-
-// ResilientBcast is ResilientAR for broadcast.
-func ResilientBcast(primary string, o Options) (string, BcastFunc, error) {
-	name := resolveChain("bcast", primary, o)
-	f, err := Lookup(BcastAlgos, name)
-	if err != nil {
-		return name, nil, fmt.Errorf("resilient bcast: %w", err)
-	}
-	return name, InstrumentBcast(name, f), nil
-}
-
-// ResilientAG is ResilientAR for all-gather.
-func ResilientAG(primary string, o Options) (string, AGFunc, error) {
-	name := resolveChain("allgather", primary, o)
-	f, err := Lookup(AllgatherAlgos, name)
-	if err != nil {
-		return name, nil, fmt.Errorf("resilient allgather: %w", err)
-	}
-	return name, InstrumentAG(name, f), nil
 }
 
 // SumBasesSalted is SumBases offset by a retry salt: attempt k fills rank

@@ -3,6 +3,8 @@ package coll
 import (
 	"reflect"
 	"testing"
+
+	"yhccl/internal/plan"
 )
 
 func TestFallbackChainsResolveInRegistries(t *testing.T) {
@@ -49,7 +51,8 @@ func TestResilientDispatchByDepth(t *testing.T) {
 		{-1, "yhccl"},
 	}
 	for _, c := range cases {
-		name, f, err := ResilientAR("yhccl", Options{FallbackDepth: c.depth})
+		call := Call{Coll: "allreduce", Resilient: true, Options: Options{FallbackDepth: c.depth}}
+		name, f, err := call.Bind(4)
 		if err != nil {
 			t.Fatalf("depth %d: %v", c.depth, err)
 		}
@@ -63,12 +66,13 @@ func TestResilientDispatchByDepth(t *testing.T) {
 }
 
 func TestResilientDispatchUnknownPrimary(t *testing.T) {
-	if _, _, err := ResilientAR("nope", Options{}); err == nil {
+	nope := plan.Params{Family: "nope"}
+	if _, _, err := (Call{Coll: "allreduce", Params: nope, Resilient: true}).Bind(4); err == nil {
 		t.Error("unknown primary accepted")
 	}
 	// But a bad primary with depth pointing at a valid fallback still works:
 	// the chain entry at that depth is what gets looked up.
-	name, _, err := ResilientBcast("nope", Options{FallbackDepth: 1})
+	name, _, err := Call{Coll: "bcast", Params: nope, Resilient: true, Options: Options{FallbackDepth: 1}}.Bind(4)
 	if err != nil || name != "binomial" {
 		t.Errorf("depth-1 fallback for bad primary: name=%q err=%v", name, err)
 	}

@@ -132,46 +132,63 @@ func ValidateAllgather(op string, rank int, rb *memmodel.Buffer, n int64, bases 
 	})
 }
 
-// Instrumented wrappers: tag the executing rank with the op name (for
-// RunError diagnostics) before dispatching, so a hang or crash inside any
-// registry algorithm is attributed to "collective/algorithm".
-
-// InstrumentAR wraps an all-reduce with SetOp attribution.
-func InstrumentAR(name string, f ARFunc) ARFunc {
-	return func(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, o Options) {
-		r.SetOp("allreduce/" + name)
-		f(r, c, sb, rb, n, op, o)
+// validateReal checks the first n elements of a data-carrying buffer
+// against ref; model-only buffers pass.
+func validateReal(op string, rank int, buf *memmodel.Buffer, n int64, ref func(i int64) float64) error {
+	if !buf.Real() {
+		return nil
 	}
+	return validateBuf(op, rank, buf.Slice(0, n), ref)
 }
 
-// InstrumentRS wraps a reduce-scatter with SetOp attribution.
-func InstrumentRS(name string, f RSFunc) RSFunc {
-	return func(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, o Options) {
-		r.SetOp("reduce-scatter/" + name)
-		f(r, c, sb, rb, n, op, o)
+// Fill writes rank r's input for Validate: bases[r] + i across its send
+// buffer. Bcast and scatter read only the root's input, so the other ranks'
+// send buffers are left as they are.
+func (c Call) Fill(r *mpi.Rank, sb *memmodel.Buffer, bases []float64) {
+	if (c.Coll == "bcast" || c.Coll == "scatter") && r.ID() != c.Root {
+		return
 	}
+	r.FillPattern(sb, bases[r.ID()])
 }
 
-// InstrumentReduce wraps a rooted reduce with SetOp attribution.
-func InstrumentReduce(name string, f ReduceFunc) ReduceFunc {
-	return func(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, root int, o Options) {
-		r.SetOp("reduce/" + name)
-		f(r, c, sb, rb, n, op, root, o)
+// Validate checks one rank's output of the call exactly, for a Sum run on
+// inputs written by Fill (len(bases) is the rank count), and reports the
+// first divergence as a *ValidationError labelled op. Model-only buffers
+// pass.
+func (c Call) Validate(op string, rank int, sb, rb *memmodel.Buffer, bases []float64) error {
+	n, p := c.N, int64(len(bases))
+	switch c.Coll {
+	case "allreduce":
+		return ValidateAllreduceSum(op, rank, rb, n, bases)
+	case "reduce-scatter":
+		return ValidateReduceScatterSum(op, rank, rb, n, bases)
+	case "reduce":
+		return ValidateReduceSum(op, rank, c.Root, rb, n, bases)
+	case "bcast":
+		return ValidateBcast(op, rank, sb, n, bases[c.Root])
+	case "allgather":
+		return ValidateAllgather(op, rank, rb, n, bases)
+	case "gather":
+		if rank != c.Root {
+			return nil
+		}
+		return ValidateAllgather(op, rank, rb, n, bases)
+	case "scatter":
+		// Rank i receives block i of the root's input.
+		off := bases[c.Root] + float64(int64(rank)*n)
+		return validateReal(op, rank, rb, n, func(i int64) float64 { return off + float64(i) })
+	case "alltoall":
+		// Block j holds block `rank` of rank j's input.
+		off := float64(int64(rank) * n)
+		return validateReal(op, rank, rb, p*n, func(i int64) float64 { return bases[i/n] + off + float64(i%n) })
+	case "scan":
+		// Inclusive prefix over ranks 0..rank.
+		base := 0.0
+		for _, b := range bases[:rank+1] {
+			base += b
+		}
+		k := float64(rank + 1)
+		return validateReal(op, rank, rb, n, func(i int64) float64 { return base + k*float64(i) })
 	}
-}
-
-// InstrumentBcast wraps a broadcast with SetOp attribution.
-func InstrumentBcast(name string, f BcastFunc) BcastFunc {
-	return func(r *mpi.Rank, c *mpi.Comm, buf *memmodel.Buffer, n int64, root int, o Options) {
-		r.SetOp("bcast/" + name)
-		f(r, c, buf, n, root, o)
-	}
-}
-
-// InstrumentAG wraps an all-gather with SetOp attribution.
-func InstrumentAG(name string, f AGFunc) AGFunc {
-	return func(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, o Options) {
-		r.SetOp("allgather/" + name)
-		f(r, c, sb, rb, n, o)
-	}
+	return fmt.Errorf("coll: unknown collective %q", c.Coll)
 }

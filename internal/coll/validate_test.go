@@ -7,6 +7,7 @@ import (
 
 	"yhccl/internal/fault"
 	"yhccl/internal/mpi"
+	"yhccl/internal/plan"
 	"yhccl/internal/topo"
 )
 
@@ -154,13 +155,16 @@ func TestInstrumentTagsOpForDiagnostics(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	alg := InstrumentAR("ring", AllreduceRing)
+	_, alg, err := Call{Coll: "allreduce", Params: plan.Params{Family: "ring"}, Resilient: true, N: n}.Bind(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bases := SumBases(p)
-	_, err := m.Run(func(r *mpi.Rank) {
+	_, err = m.Run(func(r *mpi.Rank) {
 		sb := r.NewBuffer("sb", n)
 		rb := r.NewBuffer("rb", n)
 		r.FillPattern(sb, bases[r.ID()])
-		alg(r, r.World(), sb, rb, n, mpi.Sum, Options{})
+		alg(r, r.World(), sb, rb)
 	})
 	if err == nil {
 		t.Fatal("expected the stalled run to fail")

@@ -62,7 +62,7 @@ type Machine struct {
 
 	// tuned is the machine's tuned-plan dispatch state, attached once at
 	// creation by the facade (loaded from the plan cache) and consulted by
-	// the Tuned* collectives. Held untyped so this low-level package does
+	// tuned collective calls. Held untyped so this low-level package does
 	// not depend on the planning layers; internal/coll owns the concrete
 	// type.
 	tuned any

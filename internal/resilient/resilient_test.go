@@ -6,6 +6,7 @@ import (
 	"yhccl/internal/coll"
 	"yhccl/internal/fault"
 	"yhccl/internal/mpi"
+	"yhccl/internal/plan"
 	"yhccl/internal/topo"
 )
 
@@ -19,8 +20,9 @@ func allreduceJob(primary string, n int64) Job {
 		Bind: func(m *mpi.Machine, depth, salt int) (func(*mpi.Rank), func() error, error) {
 			p := m.Size()
 			bases := coll.SumBasesSalted(p, salt)
-			o := coll.Options{FallbackDepth: depth}
-			name, alg, err := coll.ResilientAR(primary, o)
+			call := coll.Call{Coll: "allreduce", Params: plan.Params{Family: primary}, Resilient: true,
+				N: n, Options: coll.Options{FallbackDepth: depth}}
+			name, alg, err := call.Bind(p)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -29,7 +31,7 @@ func allreduceJob(primary string, n int64) Job {
 				sb := r.NewBuffer("sb", n)
 				rb := r.NewBuffer("rb", n)
 				r.FillPattern(sb, bases[r.ID()])
-				alg(r, r.World(), sb, rb, n, mpi.Sum, o)
+				alg(r, r.World(), sb, rb)
 				if err := coll.ValidateAllreduceSum("allreduce/"+name, r.ID(), rb, n, bases); err != nil && verr == nil {
 					verr = err
 				}
@@ -48,8 +50,8 @@ func TestCleanPassMatchesDirectRun(t *testing.T) {
 		sb := r.NewBuffer("sb", n)
 		rb := r.NewBuffer("rb", n)
 		r.FillPattern(sb, bases[r.ID()])
-		coll.InstrumentAR("yhccl", coll.AllreduceAlgos["yhccl"])(
-			r, r.World(), sb, rb, n, mpi.Sum, coll.Options{})
+		r.SetOp("allreduce/yhccl")
+		coll.AllreduceAlgos["yhccl"](r, r.World(), sb, rb, n, mpi.Sum, coll.Options{})
 	})
 	// Supervised run on a fresh identical machine with no plan armed.
 	m := mpi.NewMachine(topo.NodeA(), p, true)

@@ -1,10 +1,9 @@
 package resilient
 
 import (
-	"fmt"
-
 	"yhccl/internal/coll"
 	"yhccl/internal/mpi"
+	"yhccl/internal/plan"
 )
 
 // ValidatedJob is the supervised job every rank-level fault sweep runs: one
@@ -21,91 +20,35 @@ func ValidatedJob(collective, alg string, n int64) Job {
 		Name:     collective + "/" + alg,
 		MaxDepth: coll.MaxFallbackDepth(collective, alg),
 		Bind: func(m *mpi.Machine, depth, salt int) (func(*mpi.Rank), func() error, error) {
-			return bindValidated(collective, alg, n, m.Size(), depth, salt)
+			call := coll.Call{
+				Coll:      collective,
+				Params:    plan.Params{Family: alg},
+				Resilient: true,
+				N:         n,
+				Options:   coll.Options{FallbackDepth: depth},
+			}
+			// p may differ from the original size after a communicator shrink.
+			p := m.Size()
+			name, f, err := call.Bind(p)
+			if err != nil {
+				return nil, nil, err
+			}
+			bases := coll.SumBasesSalted(p, salt)
+			if collective == "bcast" {
+				// Keep the root's ramp off zero, so a sign-bit flip of its
+				// first element still shows.
+				bases[call.Root] += 777
+			}
+			op := collective + "/" + name
+			var verr error
+			return func(r *mpi.Rank) {
+				sb, rb := call.Buffers(p, "", r.NewBuffer)
+				call.Fill(r, sb, bases)
+				f(r, r.World(), sb, rb)
+				if err := call.Validate(op, r.ID(), sb, rb, bases); err != nil && verr == nil {
+					verr = err
+				}
+			}, func() error { return verr }, nil
 		},
 	}
-}
-
-// bindValidated builds one attempt's per-rank body for a p-rank machine
-// (p may differ from the original size after a communicator shrink).
-func bindValidated(collective, alg string, n int64, p, depth, salt int) (func(*mpi.Rank), func() error, error) {
-	bases := coll.SumBasesSalted(p, salt)
-	var verr error
-	check := func(err error) {
-		if err != nil && verr == nil {
-			verr = err
-		}
-	}
-	validate := func() error { return verr }
-	o := coll.Options{FallbackDepth: depth}
-	switch collective {
-	case "allreduce":
-		name, f, err := coll.ResilientAR(alg, o)
-		if err != nil {
-			return nil, nil, err
-		}
-		opName := collective + "/" + name
-		return func(r *mpi.Rank) {
-			sb := r.NewBuffer("sb", n)
-			rb := r.NewBuffer("rb", n)
-			r.FillPattern(sb, bases[r.ID()])
-			f(r, r.World(), sb, rb, n, mpi.Sum, o)
-			check(coll.ValidateAllreduceSum(opName, r.ID(), rb, n, bases))
-		}, validate, nil
-	case "reduce-scatter":
-		name, f, err := coll.ResilientRS(alg, o)
-		if err != nil {
-			return nil, nil, err
-		}
-		opName := collective + "/" + name
-		return func(r *mpi.Rank) {
-			sb := r.NewBuffer("sb", int64(p)*n)
-			rb := r.NewBuffer("rb", n)
-			r.FillPattern(sb, bases[r.ID()])
-			f(r, r.World(), sb, rb, n, mpi.Sum, o)
-			check(coll.ValidateReduceScatterSum(opName, r.ID(), rb, n, bases))
-		}, validate, nil
-	case "reduce":
-		name, f, err := coll.ResilientReduce(alg, o)
-		if err != nil {
-			return nil, nil, err
-		}
-		opName := collective + "/" + name
-		return func(r *mpi.Rank) {
-			sb := r.NewBuffer("sb", n)
-			rb := r.NewBuffer("rb", n)
-			r.FillPattern(sb, bases[r.ID()])
-			f(r, r.World(), sb, rb, n, mpi.Sum, 0, o)
-			check(coll.ValidateReduceSum(opName, r.ID(), 0, rb, n, bases))
-		}, validate, nil
-	case "bcast":
-		name, f, err := coll.ResilientBcast(alg, o)
-		if err != nil {
-			return nil, nil, err
-		}
-		opName := collective + "/" + name
-		rootBase := 777 + float64(salt*17)
-		return func(r *mpi.Rank) {
-			buf := r.NewBuffer("buf", n)
-			if r.ID() == 0 {
-				r.FillPattern(buf, rootBase)
-			}
-			f(r, r.World(), buf, n, 0, o)
-			check(coll.ValidateBcast(opName, r.ID(), buf, n, rootBase))
-		}, validate, nil
-	case "allgather":
-		name, f, err := coll.ResilientAG(alg, o)
-		if err != nil {
-			return nil, nil, err
-		}
-		opName := collective + "/" + name
-		return func(r *mpi.Rank) {
-			sb := r.NewBuffer("sb", n)
-			rb := r.NewBuffer("rb", int64(p)*n)
-			r.FillPattern(sb, bases[r.ID()])
-			f(r, r.World(), sb, rb, n, o)
-			check(coll.ValidateAllgather(opName, r.ID(), rb, n, bases))
-		}, validate, nil
-	}
-	return nil, nil, fmt.Errorf("resilient: no validated job for collective %q", collective)
 }

@@ -3,9 +3,7 @@ package serve
 import (
 	"fmt"
 
-	"yhccl/internal/coll"
 	"yhccl/internal/fault"
-	"yhccl/internal/memmodel"
 	"yhccl/internal/mpi"
 	"yhccl/internal/resilient"
 	"yhccl/internal/topo"
@@ -101,102 +99,24 @@ func (ms *measurer) healthyService(spec JobSpec, perSocket, ext []int) float64 {
 }
 
 // healthyBody builds the model-only per-rank loop for a spec: Calls
-// back-to-back collective calls with OSU-style buffer re-warming between
-// iterations.
+// back-to-back collective calls, each after the rank re-warms its input
+// (for bcast, only the root has one).
 func healthyBody(spec JobSpec, p int) (func(*mpi.Rank), error) {
-	n := spec.MsgBytes / memmodel.ElemSize
-	if n < 1 {
-		n = 1
+	call := spec.call()
+	_, f, err := call.Bind(p)
+	if err != nil {
+		return nil, err
 	}
-	calls := spec.Calls
-	alg := spec.Alg
-	if alg == "" {
-		alg = "yhccl"
-	}
-	o := coll.Options{}
-	pp := int64(p)
-	switch spec.Collective {
-	case "allreduce":
-		f, err := coll.Lookup(coll.AllreduceAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("serve/sb", n)
-			rb := r.PersistentBuffer("serve/rb", n)
-			for i := 0; i < calls; i++ {
-				r.Warm(sb, 0, n)
-				f(r, r.World(), sb, rb, n, mpi.Sum, o)
+	rootOnly := spec.Collective == "bcast"
+	return func(r *mpi.Rank) {
+		sb, rb := call.Buffers(p, "serve/", r.PersistentBuffer)
+		for i := 0; i < spec.Calls; i++ {
+			if !rootOnly || r.ID() == call.Root {
+				r.Warm(sb, 0, sb.Elems)
 			}
-		}, nil
-	case "reduce-scatter":
-		f, err := coll.Lookup(coll.ReduceScatterAlgos, alg)
-		if err != nil {
-			return nil, err
+			f(r, r.World(), sb, rb)
 		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("serve/sb", n*pp)
-			rb := r.PersistentBuffer("serve/rb", n)
-			for i := 0; i < calls; i++ {
-				r.Warm(sb, 0, n*pp)
-				f(r, r.World(), sb, rb, n, mpi.Sum, o)
-			}
-		}, nil
-	case "reduce":
-		f, err := coll.Lookup(coll.ReduceAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("serve/sb", n)
-			rb := r.PersistentBuffer("serve/rb", n)
-			for i := 0; i < calls; i++ {
-				r.Warm(sb, 0, n)
-				f(r, r.World(), sb, rb, n, mpi.Sum, 0, o)
-			}
-		}, nil
-	case "bcast":
-		f, err := coll.Lookup(coll.BcastAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			buf := r.PersistentBuffer("serve/buf", n)
-			for i := 0; i < calls; i++ {
-				if r.ID() == 0 {
-					r.Warm(buf, 0, n)
-				}
-				f(r, r.World(), buf, n, 0, o)
-			}
-		}, nil
-	case "allgather":
-		f, err := coll.Lookup(coll.AllgatherAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("serve/sb", n)
-			rb := r.PersistentBuffer("serve/rb", n*pp)
-			for i := 0; i < calls; i++ {
-				r.Warm(sb, 0, n)
-				f(r, r.World(), sb, rb, n, o)
-			}
-		}, nil
-	case "alltoall":
-		f, err := coll.Lookup(coll.AlltoallAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("serve/sb", n*pp)
-			rb := r.PersistentBuffer("serve/rb", n*pp)
-			for i := 0; i < calls; i++ {
-				r.Warm(sb, 0, n*pp)
-				f(r, r.World(), sb, rb, n, o)
-			}
-		}, nil
-	}
-	return nil, fmt.Errorf("serve: unsupported collective %q", spec.Collective)
+	}, nil
 }
 
 // faultService measures a fault-seeded tenant: one validated collective
@@ -219,13 +139,9 @@ func (ms *measurer) faultService(spec JobSpec, perSocket, ext []int) (float64, r
 	if err := m.SetFaultPlan(plan); err != nil {
 		panic(fmt.Sprintf("serve: bad generated plan: %v", err))
 	}
-	n := spec.MsgBytes / memmodel.ElemSize
-	if n < 1 {
-		n = 1
-	}
 	pol := resilient.DefaultPolicy()
 	pol.AllowRemap = false // leased cores come with no spares to quarantine onto
-	rep := resilient.Supervise(m, resilient.ValidatedJob(spec.Collective, spec.Alg, n), pol)
+	rep := resilient.Supervise(m, resilient.ValidatedJob(spec.Collective, spec.Alg, spec.call().N), pol)
 
 	total := 0.0
 	for _, a := range rep.Attempts {

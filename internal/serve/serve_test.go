@@ -275,3 +275,42 @@ func TestSweepAndGate(t *testing.T) {
 		t.Errorf("render output malformed:\n%s", out)
 	}
 }
+
+// TestValidateRejectsUnrunnableSpecs pins the submission checks that keep
+// the scheduler from admitting a job it cannot run: an unknown algorithm,
+// healthy or fault-seeded, and a fault seed on a collective outside the
+// paper's five (the resilient supervisor has no fallback chain for it).
+// RunLoad reports each as an error; none may reach a service-time
+// measurement. Every committed mix still validates.
+func TestValidateRejectsUnrunnableSpecs(t *testing.T) {
+	base := JobSpec{Name: "bad", Collective: "allreduce", MsgBytes: 8 << 10, Calls: 1, Ranks: 2, Weight: 1}
+	for _, c := range []struct {
+		name string
+		edit func(*JobSpec)
+		want string
+	}{
+		{"unknown-alg", func(j *JobSpec) { j.Alg = "nope" }, `unknown algorithm "nope"`},
+		{"unknown-alg-fault-seeded", func(j *JobSpec) { j.Alg, j.FaultSeed = "nope", 3 }, `unknown algorithm "nope"`},
+		{"fault-seeded-alltoall", func(j *JobSpec) { j.Collective, j.FaultSeed = "alltoall", 3 }, "FaultSeed covers only the paper collectives"},
+		{"unknown-collective", func(j *JobSpec) { j.Collective = "allsum" }, `unknown collective "allsum"`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			spec := base
+			c.edit(&spec)
+			if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Validate = %v, want an error containing %q", err, c.want)
+			}
+			cfg := StreamConfig{Seed: 1, Mix: []JobSpec{spec}, Jobs: 3, Rate: 50}
+			if _, err := RunLoad(topo.NodeA(), PlaceAuto, cfg, nil); err == nil {
+				t.Error("RunLoad accepted the spec")
+			}
+		})
+	}
+	for _, mix := range [][]JobSpec{DefaultMix(), OverloadMix(), testMix()} {
+		for _, spec := range mix {
+			if err := spec.Validate(); err != nil {
+				t.Errorf("committed spec %q: %v", spec.Name, err)
+			}
+		}
+	}
+}

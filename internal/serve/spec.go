@@ -16,7 +16,13 @@
 // paper figures use (memoized per distinct contention state).
 package serve
 
-import "fmt"
+import (
+	"fmt"
+
+	"yhccl/internal/coll"
+	"yhccl/internal/memmodel"
+	"yhccl/internal/plan"
+)
 
 // Placement selects how a job's ranks map onto sockets.
 type Placement int
@@ -105,11 +111,6 @@ func (j JobSpec) Validate() error {
 	if j.Name == "" {
 		return fmt.Errorf("serve: job spec with empty Name")
 	}
-	switch j.Collective {
-	case "allreduce", "reduce-scatter", "reduce", "bcast", "allgather", "alltoall":
-	default:
-		return fmt.Errorf("serve: job %q: unsupported collective %q", j.Name, j.Collective)
-	}
 	if j.MsgBytes < 8 {
 		return fmt.Errorf("serve: job %q: MsgBytes %d below one element", j.Name, j.MsgBytes)
 	}
@@ -125,7 +126,19 @@ func (j JobSpec) Validate() error {
 	if j.Deadline < 0 {
 		return fmt.Errorf("serve: job %q: negative Deadline", j.Name)
 	}
+	if _, _, err := j.call().Bind(j.Ranks); err != nil {
+		return fmt.Errorf("serve: job %q: %w", j.Name, err)
+	}
+	if _, err := plan.ParseColl(j.Collective); err != nil && j.FaultSeed != 0 {
+		return fmt.Errorf("serve: job %q: FaultSeed covers only the paper collectives (allreduce, reduce-scatter, reduce, bcast, allgather), not %s", j.Name, j.Collective)
+	}
 	return nil
+}
+
+// call is one collective call of the job: MsgBytes per rank (at least one
+// element) of Alg ("" is "yhccl"), rooted at rank 0.
+func (j JobSpec) call() coll.Call {
+	return coll.Call{Coll: j.Collective, Params: plan.Params{Family: j.Alg}, N: max(j.MsgBytes/memmodel.ElemSize, 1)}
 }
 
 // DefaultMix is the reference mixed workload: DNN all-reduce storms

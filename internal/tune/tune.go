@@ -5,7 +5,7 @@
 // degrees, asymmetric-fanout DAGs) — scores every candidate against the
 // internal/memmodel cost model through the exact measurement harness the
 // figures use, and persists the winners into the versioned plan cache that
-// runtime dispatch (coll.Tuned*) consults.
+// runtime dispatch (a coll.Call with a Planner) consults.
 //
 // The search is fully deterministic: candidate order is fixed, the
 // simulator is bit-exact, and ties resolve toward seeds (a searched variant
@@ -19,8 +19,6 @@ import (
 	"yhccl/internal/bench"
 	"yhccl/internal/coll"
 	"yhccl/internal/dav"
-	"yhccl/internal/memmodel"
-	"yhccl/internal/mpi"
 	"yhccl/internal/plan"
 	"yhccl/internal/schedule"
 	"yhccl/internal/topo"
@@ -111,64 +109,7 @@ func Candidates(c plan.Coll, node *topo.Node, p int, sBytes int64) []plan.Params
 // Measure scores one candidate: the simulated steady-state seconds of the
 // collective at sBytes on a fresh machine, through the figure harness.
 func Measure(node *topo.Node, p int, c plan.Coll, pr plan.Params, sBytes int64) (float64, error) {
-	o := coll.ApplyParams(bench.NodeOptions(node), pr)
-	switch c {
-	case plan.Allreduce:
-		var alg coll.ARFunc
-		if pr.Family == "fanout" {
-			g, err := plan.AllreduceFromSchedule(schedule.Fanout(p, pr.Fanout))
-			if err != nil {
-				return 0, err
-			}
-			alg = func(r *mpi.Rank, cm *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, o coll.Options) {
-				coll.AllreduceGraph(r, cm, g, sb, rb, n, op, o)
-			}
-		} else {
-			f, err := coll.Lookup(coll.AllreduceAlgos, pr.Family)
-			if err != nil {
-				return 0, err
-			}
-			alg = f
-		}
-		return bench.MeasureAllreduce(node, p, alg, sBytes, o), nil
-	case plan.ReduceScatter:
-		var alg coll.RSFunc
-		if pr.Family == "fanout" {
-			g, err := plan.FromSchedule(schedule.Fanout(p, pr.Fanout))
-			if err != nil {
-				return 0, err
-			}
-			alg = func(r *mpi.Rank, cm *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, o coll.Options) {
-				coll.ReduceScatterGraph(r, cm, g, sb, rb, n, op, o)
-			}
-		} else {
-			f, err := coll.Lookup(coll.ReduceScatterAlgos, pr.Family)
-			if err != nil {
-				return 0, err
-			}
-			alg = f
-		}
-		return bench.MeasureReduceScatter(node, p, alg, sBytes, o), nil
-	case plan.Reduce:
-		f, err := coll.Lookup(coll.ReduceAlgos, pr.Family)
-		if err != nil {
-			return 0, err
-		}
-		return bench.MeasureReduce(node, p, f, sBytes, o), nil
-	case plan.Bcast:
-		f, err := coll.Lookup(coll.BcastAlgos, pr.Family)
-		if err != nil {
-			return 0, err
-		}
-		return bench.MeasureBcast(node, p, f, sBytes, o), nil
-	case plan.Allgather:
-		f, err := coll.Lookup(coll.AllgatherAlgos, pr.Family)
-		if err != nil {
-			return 0, err
-		}
-		return bench.MeasureAllgather(node, p, f, sBytes, o), nil
-	}
-	return 0, fmt.Errorf("tune: unknown collective %v", c)
+	return bench.Measure(node, p, coll.Call{Coll: c.String(), Params: pr, Options: bench.NodeOptions(node)}, sBytes)
 }
 
 // collSizes returns the sweep a collective is tuned over: the paper's

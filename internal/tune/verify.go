@@ -5,8 +5,6 @@ import (
 
 	"yhccl/internal/bench"
 	"yhccl/internal/coll"
-	"yhccl/internal/memmodel"
-	"yhccl/internal/mpi"
 	"yhccl/internal/plan"
 	"yhccl/internal/topo"
 )
@@ -62,7 +60,12 @@ func Verify(node *topo.Node, p int, table *plan.Table, quick bool) ([]Point, err
 	var firstErr error
 	for _, c := range plan.Colls() {
 		for _, s := range collSizes(c, quick) {
-			tuned := measureTuned(node, p, c, planner, s, base)
+			// The tuned dispatch runs through the harness that measures the
+			// baselines, so ties are exact.
+			tuned, err := bench.Measure(node, p, coll.Call{Coll: c.String(), Planner: planner, Options: base}, s)
+			if err != nil {
+				return nil, err
+			}
 			bestT, bestName := 0.0, ""
 			strict := true
 			for _, fam := range figBaselines(c) {
@@ -77,7 +80,7 @@ func Verify(node *topo.Node, p int, table *plan.Table, quick bool) ([]Point, err
 					strict = false
 				}
 			}
-			entry := table.Lookup(c, lookupBytes(c, p, s))
+			entry := table.Lookup(c, s)
 			fam := ""
 			if entry != nil {
 				fam = entry.Params.String()
@@ -94,38 +97,4 @@ func Verify(node *topo.Node, p int, table *plan.Table, quick bool) ([]Point, err
 		}
 	}
 	return points, firstErr
-}
-
-// lookupBytes maps a figure sweep size to the bytes the Tuned* dispatchers
-// key their lookup on (reduce-scatter sweeps are total message sizes and
-// dispatch on total size, so this is the identity for every collective —
-// kept explicit so the convention is written down once).
-func lookupBytes(c plan.Coll, p int, sBytes int64) int64 { return sBytes }
-
-// measureTuned measures the plan-table dispatch itself through the figure
-// harness — the same one Measure uses for the baselines, so ties are exact.
-func measureTuned(node *topo.Node, p int, c plan.Coll, planner *coll.Planner, sBytes int64, o coll.Options) float64 {
-	switch c {
-	case plan.Allreduce:
-		return bench.MeasureAllreduce(node, p, func(r *mpi.Rank, cm *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, o coll.Options) {
-			coll.TunedAllreduce(planner, r, cm, sb, rb, n, op, o)
-		}, sBytes, o)
-	case plan.ReduceScatter:
-		return bench.MeasureReduceScatter(node, p, func(r *mpi.Rank, cm *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, o coll.Options) {
-			coll.TunedReduceScatter(planner, r, cm, sb, rb, n, op, o)
-		}, sBytes, o)
-	case plan.Reduce:
-		return bench.MeasureReduce(node, p, func(r *mpi.Rank, cm *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, root int, o coll.Options) {
-			coll.TunedReduce(planner, r, cm, sb, rb, n, op, root, o)
-		}, sBytes, o)
-	case plan.Bcast:
-		return bench.MeasureBcast(node, p, func(r *mpi.Rank, cm *mpi.Comm, buf *memmodel.Buffer, n int64, root int, o coll.Options) {
-			coll.TunedBcast(planner, r, cm, buf, n, root, o)
-		}, sBytes, o)
-	case plan.Allgather:
-		return bench.MeasureAllgather(node, p, func(r *mpi.Rank, cm *mpi.Comm, sb, rb *memmodel.Buffer, n int64, o coll.Options) {
-			coll.TunedAllgather(planner, r, cm, sb, rb, n, o)
-		}, sBytes, o)
-	}
-	panic("unreachable")
 }

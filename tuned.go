@@ -101,5 +101,3 @@ func warnPlanOnce(dir, topology string, ranks int, err error) {
 		fmt.Fprintf(os.Stderr, "yhccl: ignoring tuned-plan cache %s: %v (falling back to hand-tuned switch)\n", key, err)
 	}
 }
-
-func plannerOf(r *Rank) *coll.Planner { return coll.PlannerOf(r.Machine()) }

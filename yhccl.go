@@ -122,27 +122,8 @@ func NewMachineWithBinding(node *Node, rankCores []int, real bool) *Machine {
 }
 
 // AlgorithmNames lists the registered algorithm names for a collective
-// ("allreduce", "reduce-scatter", "reduce", "bcast", "allgather").
+// (any of Req.Collective's names, aliases included), or nil for an unknown
+// one.
 func AlgorithmNames(collective string) []string {
-	switch collective {
-	case "allreduce":
-		return coll.Names(coll.AllreduceAlgos)
-	case "reduce-scatter", "reducescatter":
-		return coll.Names(coll.ReduceScatterAlgos)
-	case "reduce":
-		return coll.Names(coll.ReduceAlgos)
-	case "bcast", "broadcast":
-		return coll.Names(coll.BcastAlgos)
-	case "allgather":
-		return coll.Names(coll.AllgatherAlgos)
-	case "gather":
-		return coll.Names(coll.GatherAlgos)
-	case "scatter":
-		return coll.Names(coll.ScatterAlgos)
-	case "alltoall":
-		return coll.Names(coll.AlltoallAlgos)
-	case "scan":
-		return coll.Names(coll.ScanAlgos)
-	}
-	return nil
+	return coll.Algorithms(normalizeCollective(collective))
 }

@@ -173,7 +173,7 @@ func TestPublicUnknownAlgorithm(t *testing.T) {
 }
 
 func TestAlgorithmNamesCoverCollectives(t *testing.T) {
-	for _, c := range []string{"allreduce", "reduce-scatter", "reduce", "bcast", "allgather", "gather", "scatter", "alltoall"} {
+	for _, c := range []string{"allreduce", "reduce-scatter", "reduce", "bcast", "allgather", "gather", "scatter", "alltoall", "scan", "reducescatter", "broadcast"} {
 		if len(AlgorithmNames(c)) == 0 {
 			t.Errorf("no algorithms for %s", c)
 		}

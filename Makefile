@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: build test test-race race race-fast vet chaos-recover chaos-cluster chaos-churn scale engine-compare ci bench bench-baseline bench-compare tune tune-full plan-verify serve serve-overload examples
+.PHONY: build test test-race race race-fast vet chaos-recover chaos-cluster chaos-churn scale engine-compare ci bench bench-baseline bench-compare tune tune-full plan-verify serve serve-overload examples results
 
 # Single CI entrypoint: vet, the full test suite (incl. the fast race pass
 # and the benchmark module's tests), the fault-injection gates (supervised
 # rank-level sweep, cluster-scale, and membership churn), the cluster-scale smoke gate, the tuned-plan pipeline
 # (quick-budget synthesis + the beats-or-matches gate), the
 # multi-tenant serving gates (steady-state sweep and the bounded-queue
-# overload point), then every example.
-ci: test chaos-recover chaos-cluster chaos-churn scale tune plan-verify serve serve-overload examples
+# overload point), every example, then the simulated-results ledger.
+ci: test chaos-recover chaos-cluster chaos-churn scale tune plan-verify serve serve-overload examples results
 
 build:
 	$(GO) build ./...
@@ -117,6 +117,17 @@ serve:
 # demonstrably sheds and every admitted job meets its deadline.
 serve-overload:
 	$(GO) run ./cmd/yhcclbench -serve-overload
+
+# Simulated-results ledger: the quick figure sweep must reproduce the
+# figure section of RESULTS.txt (every line above its first gate report,
+# `# chaos-recover`, less the blank line that separates the two) byte for
+# byte. A change that moves a makespan regenerates that section, and the
+# diff names the figure, series and size. Host measurements go to stderr
+# and are not compared.
+results:
+	out=$$(mktemp) && $(GO) run ./cmd/yhcclbench -exp all -quick > $$out && \
+	sed -n '/^# chaos-recover/q;p' RESULTS.txt | sed '$$d' | diff - $$out; \
+	rc=$$?; rm -f $$out; exit $$rc
 
 # Build and run every example; each exits nonzero (log.Fatal or panic) on
 # an error or a wrong result.

@@ -10,7 +10,7 @@
 //	yhcclbench -exp all -csv out/    # also write out/<id>.csv per experiment
 //	yhcclbench -exp fig9a -cpuprofile cpu.prof
 //	yhcclbench -chaos-recover        # supervised fault-injection sweep (exit 1 on gate violation)
-//	yhcclbench -exp fig16scale       # cluster-scale sweep on the event engine
+//	yhcclbench -exp fig16scale       # cluster-scale sweep on the event engine (host footprints on stderr)
 //	yhcclbench -scale-gate           # 65536+ rank smoke under wall/memory budgets (exit 1 on violation)
 //	yhcclbench -tune -node NodeA -p 64
 //	                                 # synthesize the tuned-plan cache into plans/
@@ -187,6 +187,9 @@ func main() {
 			fatalf("%v", err)
 		}
 		fig.Fprint(os.Stdout)
+		for _, n := range fig.HostNotes {
+			fmt.Fprintf(os.Stderr, "%s: %s\n", id, n)
+		}
 		if *csvDir != "" {
 			if err := writeCSV(*csvDir, id, fig); err != nil {
 				fatalf("csv: %v", err)

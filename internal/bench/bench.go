@@ -41,6 +41,9 @@ type Figure struct {
 	Baseline string
 	// Notes carry reproduction caveats shown under the table.
 	Notes []string
+	// HostNotes carry host measurements (wall time, allocations) that
+	// vary from run to run, so Fprint leaves them out of the table.
+	HostNotes []string
 }
 
 // Runner regenerates one experiment. quick trims the sweep for tests.

@@ -59,9 +59,15 @@ func measureScale(c *cluster.Cluster, alg cluster.Algorithm, n int64, o cluster.
 	}, nil
 }
 
+// note reports the model-determined part of a run (its event count);
+// hostNote the part measured on the host, which varies run to run.
 func (fp Footprint) note(label string) string {
-	return fmt.Sprintf("%s @ %d ranks: %.0f B/rank, %.2f allocs/rank, goroutine delta %+d, %d events, wall %.1fs",
-		label, fp.Ranks, fp.BytesPerRank, fp.AllocsPerRank, fp.GoroutineDelta, fp.Events, fp.WallSeconds)
+	return fmt.Sprintf("%s @ %d ranks: %d events", label, fp.Ranks, fp.Events)
+}
+
+func (fp Footprint) hostNote(label string) string {
+	return fmt.Sprintf("%s @ %d ranks: %.0f B/rank, %.2f allocs/rank, goroutine delta %+d, wall %.1fs",
+		label, fp.Ranks, fp.BytesPerRank, fp.AllocsPerRank, fp.GoroutineDelta, fp.WallSeconds)
 }
 
 func init() {
@@ -110,6 +116,7 @@ func fig16scale(quick bool) (*Figure, error) {
 			f.Series[i].Y = append(f.Series[i].Y, fp.MakespanSeconds)
 			if a.alg == cluster.YHCCLHierarchical {
 				f.Notes = append(f.Notes, fp.note(a.name))
+				f.HostNotes = append(f.HostNotes, fp.hostNote(a.name))
 			}
 		}
 	}

@@ -57,15 +57,6 @@ type ScheduleOptions struct {
 	// engines execute the coarsened program, so parity is unaffected; at
 	// 262144+ ranks this bounds the event count of ring phases.
 	RingSteps int
-	// RGDegree is the RG tree branching degree (default 2, as in coll).
-	RGDegree int
-}
-
-func (o ScheduleOptions) withDefaults() ScheduleOptions {
-	if o.RGDegree <= 0 {
-		o.RGDegree = 2
-	}
-	return o
 }
 
 // progCosts converts the topology and fabric description into the
@@ -748,7 +739,6 @@ func (c *Cluster) CompileAllreduce(alg Algorithm, n int64, o ScheduleOptions) (s
 	if err := checkElems(n); err != nil {
 		return nil, err
 	}
-	o = o.withDefaults()
 	msg := float64(n * memmodel.ElemSize)
 	p, N := c.PerNode, c.Nodes
 	costs := newProgCosts(c.Node, c.Net, p, msg)
@@ -786,7 +776,7 @@ func (c *Cluster) CompileAllreduce(alg Algorithm, n int64, o ScheduleOptions) (s
 		}
 		cp := &clusterProgram{
 			nodes: N, perNode: p,
-			tmplA: rgReduce(c.Node, p, o.RGDegree, msg, costs),
+			tmplA: rgReduce(c.Node, p, 2, msg, costs), // coll's default RG degree
 			tmplC: binomialBcast(c.Node, p, msg, costs),
 		}
 		if N > 1 {
@@ -828,7 +818,6 @@ func (c *Cluster) CompileBcast(alg Algorithm, n int64, o ScheduleOptions) (sim.P
 	if err := checkElems(n); err != nil {
 		return nil, err
 	}
-	o = o.withDefaults()
 	msg := float64(n * memmodel.ElemSize)
 	p, N := c.PerNode, c.Nodes
 	costs := newProgCosts(c.Node, c.Net, p, msg)
@@ -879,7 +868,6 @@ func (c *Cluster) CompileAllgather(alg Algorithm, n int64, o ScheduleOptions) (s
 	if err := checkElems(n); err != nil {
 		return nil, err
 	}
-	o = o.withDefaults()
 	contrib := float64(n * memmodel.ElemSize)
 	p, N := c.PerNode, c.Nodes
 	costs := newProgCosts(c.Node, c.Net, p, contrib)

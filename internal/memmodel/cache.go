@@ -18,22 +18,12 @@ import "fmt"
 // through a sequential-access cursor (see seek) with binary search as the
 // fallback.
 //
-// Fragmentation control: a freshly inserted region merges with the region
-// used immediately before it (its LRU predecessor) when the two are
-// address-adjacent in the same buffer with the same dirty state, so
-// streaming access keeps one growing region instead of one per chunk. The
-// merge is purely representational — the merged region records its
-// constituent segments in recency order, and any operation that could
-// observe granularity (LRU eviction, partial removal) first explodes the
-// region back into exactly the plain regions an unmerged tracker would
-// hold. The tracker's observable behavior is therefore a function of the
-// *logical* state alone — the sequence of plain (per-segment) regions in
-// recency order — and simulated times, traffic counters and residency
-// decisions are bit-identical with and without merging (golden-determinism
-// tests in internal/bench enforce this). The fast paths in insert exploit
-// the same property in reverse: an operation whose logical effect is the
-// identity (re-touching the most recently used range) may skip the
-// explode/re-merge churn entirely.
+// Regions are plain: each entry on the recency list and in a buffer's
+// index is the range of one insert, or a piece of it that later inserts
+// and invalidations left, so eviction and partial removal act on entries
+// directly. The cursor banks (see curs) keep streaming access O(1) per
+// operation, together with the head drops of remove and evict and
+// insert's re-touch fast path.
 type cacheState struct {
 	socket   int
 	capacity int64
@@ -65,13 +55,6 @@ type cacheState struct {
 	// never trusted — so no operation needs to keep them precise.
 	curs    [][]int32
 	curSlot int
-
-	// evictBuf/evictIdx remember where the last eviction spliced its
-	// buffer index: LRU order visits a streaming buffer's regions in
-	// address order, so after splicing index i the next victim of that
-	// buffer sits at index i again. Advisory, validated exactly.
-	evictBuf uint64
-	evictIdx int32
 }
 
 // region is a cached byte range [lo, hi) of one buffer.
@@ -80,20 +63,7 @@ type region struct {
 	lo, hi     int64
 	dirty      bool
 	prev, next *region // intrusive LRU links (next also chains the free list)
-
-	// segs, when non-empty, lists the merged constituent sub-ranges in
-	// recency order (oldest first). The segments tile [lo, hi) exactly.
-	// A plain (unmerged) region has segs == nil.
-	segs [][2]int64
 }
-
-// maxSegs bounds how many constituent sub-ranges a merged region may
-// carry. Merging is purely representational (explode restores the exact
-// unmerged state), so the cap cannot change simulated behavior; it only
-// bounds the cost of an explode and prevents a merge/explode thrash
-// cycle under eviction pressure, where a single unbounded merged region
-// would be exploded and fully re-merged on every insert.
-const maxSegs = 64
 
 func (r *region) len() int64 { return r.hi - r.lo }
 
@@ -283,56 +253,6 @@ func (c *cacheState) seek(buf uint64, rs []*region, lo int64) int {
 	return overlapStart(rs, lo)
 }
 
-// explodeAt dissolves the merged region r, located at index ri of its
-// buffer's sorted slice, back into one plain region per recorded segment,
-// at the same LRU position and in segment (recency) order — exactly the
-// regions an unmerged tracker would hold. Returns the region of the newest
-// segment. No-op on plain regions.
-func (c *cacheState) explodeAt(r *region, ri int) *region {
-	if len(r.segs) == 0 {
-		return r
-	}
-	segs := r.segs
-	r.segs = nil
-	rs := c.regs(r.buf)
-	// Widen r's slot into a window of len(segs) slots with one splice.
-	k := len(segs)
-	rs = append(rs, make([]*region, k-1)...)
-	copy(rs[ri+k:], rs[ri+1:])
-	window := rs[ri : ri+k]
-	// The oldest segment reuses r itself, keeping its LRU links; younger
-	// segments are threaded in immediately after it, oldest to newest.
-	// Slice placement is by address: segments of a streaming merge arrive
-	// already lo-sorted, so the insertion step below is O(1) per segment
-	// in the common case.
-	r.lo, r.hi = segs[0][0], segs[0][1]
-	window[0] = r
-	last := r
-	for j := 1; j < k; j++ {
-		nr := c.alloc(r.buf, segs[j][0], segs[j][1], r.dirty)
-		c.lruInsertAfter(nr, last)
-		last = nr
-		pos := j
-		for pos > 0 && window[pos-1].lo > nr.lo {
-			window[pos] = window[pos-1]
-			pos--
-		}
-		window[pos] = nr
-	}
-	c.setRegs(r.buf, rs)
-	return last
-}
-
-// explode is explodeAt for callers that do not know r's slice index.
-func (c *cacheState) explode(r *region) *region {
-	if len(r.segs) == 0 {
-		return r
-	}
-	rs := c.regs(r.buf)
-	ri := searchLo(rs, r.lo)
-	return c.explodeAt(r, ri)
-}
-
 // lookup returns how many bytes of [lo, hi) of buffer b are cached.
 func (c *cacheState) lookup(buf uint64, lo, hi int64) int64 {
 	rs := c.regs(buf)
@@ -346,24 +266,9 @@ func (c *cacheState) lookup(buf uint64, lo, hi int64) int64 {
 	return cached
 }
 
-// lookupDirty returns how many bytes of [lo, hi) are cached dirty.
-func (c *cacheState) lookupDirty(buf uint64, lo, hi int64) int64 {
-	rs := c.regs(buf)
-	i := c.seek(buf, rs, lo)
-	var dirty int64
-	for j := i; j < len(rs) && rs[j].lo < hi; j++ {
-		if !rs[j].dirty {
-			continue
-		}
-		a, b := max64(rs[j].lo, lo), min64(rs[j].hi, hi)
-		dirty += b - a
-	}
-	c.setCur(buf, i)
-	return dirty
-}
-
-// lookupBoth returns lookup and lookupDirty of [lo, hi) in a single pass —
-// the fused per-chunk query of Model.Load.
+// lookupBoth returns how many bytes of [lo, hi) of buffer b are cached, and
+// how many of those are dirty, in a single pass — the per-chunk query of
+// Model.Load.
 func (c *cacheState) lookupBoth(buf uint64, lo, hi int64) (cached, dirty int64) {
 	rs := c.regs(buf)
 	i := c.seek(buf, rs, lo)
@@ -392,36 +297,19 @@ func (c *cacheState) insert(buf uint64, lo, hi int64, dirty bool) (writeback int
 	if hi-lo > c.capacity {
 		lo = hi - c.capacity
 	}
-	// Fast paths: a re-touch of an exactly-tracked range with unchanged
-	// dirty state. Both shortcuts reproduce the slow path's *logical*
-	// effect (remove the range's regions, re-insert one plain region at
-	// the MRU position) without the explode / slice-splice / re-merge
-	// churn, which is what makes streaming chunk loops O(1).
+	// Fast path: the range is exactly one tracked region with the same
+	// dirty bit. Removing it and re-inserting an identical region at the MRU
+	// end frees and re-takes the same bytes, so nothing is evicted; moving
+	// the region there has the same effect without the slice splice.
 	rs := c.regs(buf)
 	if i := c.seek(buf, rs, lo); i < len(rs) {
-		if r := rs[i]; r.dirty == dirty {
-			if r.lo == lo && r.hi == hi {
-				// The whole region is re-touched: logically its
-				// constituent segments are all removed and replaced by one
-				// plain MRU region covering the same range.
-				r.segs = nil
-				if c.lruBack != r {
-					c.lruRemove(r)
-					c.lruPushBack(r)
-				}
-				c.setCur(buf, i)
-				c.mergeChain(buf, r, i)
-				return 0
+		if r := rs[i]; r.lo == lo && r.hi == hi && r.dirty == dirty {
+			if c.lruBack != r {
+				c.lruRemove(r)
+				c.lruPushBack(r)
 			}
-			if r == c.lruBack && len(r.segs) > 0 && r.lo <= lo && hi <= r.hi {
-				if s := r.segs[len(r.segs)-1]; s[0] == lo && s[1] == hi {
-					// Re-touch of the newest segment of the MRU region:
-					// logically that segment is removed and re-inserted at
-					// the MRU position it already occupies — the identity.
-					c.setCur(buf, i)
-					return 0
-				}
-			}
+			c.setCur(buf, i)
+			return 0
 		}
 	}
 	ri := c.remove(buf, lo, hi)
@@ -433,93 +321,21 @@ func (c *cacheState) insert(buf uint64, lo, hi int64, dirty bool) (writeback int
 	rs[ri] = r
 	c.setRegs(buf, rs)
 	c.used += r.len()
-	shifted := false
 	for c.used > c.capacity {
 		victim := c.lruFront
-		if len(victim.segs) > 0 {
-			// Restore per-segment granularity so victims are evicted with
-			// the same capacity re-checks as an unmerged tracker.
-			c.explode(victim)
-			if victim.buf == buf {
-				shifted = true
-			}
-			continue
-		}
 		if victim == r && c.nregions == 1 {
 			break // cannot evict the region we just inserted entirely
 		}
-		wasDirty, vlen := victim.dirty, victim.len()
-		if victim.buf == buf {
-			shifted = true
+		if victim.buf == buf && victim.lo < r.lo {
+			ri-- // the victim sat in front of r in r's buffer index
+		}
+		if victim.dirty {
+			writeback += victim.len()
 		}
 		c.evict(victim)
-		if wasDirty {
-			writeback += vlen
-		}
-	}
-	if shifted {
-		// Evictions (or victim explodes) in this buffer moved r's index.
-		rs = c.regs(buf)
-		ri = searchLo(rs, r.lo)
-	}
-	c.mergeChain(buf, r, ri)
-	return writeback
-}
-
-// mergeChain fuses r (at index ri of its buffer's sorted slice) into its
-// LRU predecessor while that predecessor is an address-adjacent region of
-// the same buffer with the same dirty state (see the type comment; chained
-// because a bridging insert can expose another adjacent predecessor).
-func (c *cacheState) mergeChain(buf uint64, r *region, ri int) {
-	for {
-		q := r.prev
-		if q == nil || q.buf != buf || q.dirty != r.dirty || (q.hi != r.lo && q.lo != r.hi) {
-			break
-		}
-		qn, rn := len(q.segs), len(r.segs)
-		if qn == 0 {
-			qn = 1
-		}
-		if rn == 0 {
-			rn = 1
-		}
-		if qn+rn > maxSegs {
-			break
-		}
-		rs := c.regs(buf)
-		// Regions are disjoint and sorted, so an address-adjacent q is r's
-		// immediate slice neighbor; keep a search fallback for safety.
-		qi := ri - 1
-		if q.lo == r.hi {
-			qi = ri + 1
-		}
-		if qi < 0 || qi >= len(rs) || rs[qi] != q {
-			qi = searchLo(rs, q.lo)
-		}
-		segs := q.segs
-		if segs == nil {
-			segs = [][2]int64{{q.lo, q.hi}}
-		}
-		if r.segs == nil {
-			segs = append(segs, [2]int64{r.lo, r.hi})
-		} else {
-			segs = append(segs, r.segs...)
-		}
-		if q.hi == r.lo {
-			r.lo = q.lo
-		} else {
-			r.hi = q.hi
-		}
-		r.segs = segs
-		q.segs = nil // ownership moved to r; keep release from recycling it
-		c.setRegs(buf, append(rs[:qi], rs[qi+1:]...))
-		if qi < ri {
-			ri--
-		}
-		c.lruRemove(q)
-		c.release(q)
 	}
 	c.setCur(buf, ri)
+	return writeback
 }
 
 // invalidate drops [lo, hi) of buffer b from the cache without write-back
@@ -540,24 +356,11 @@ func (c *cacheState) invalidateBuffer(buf uint64) {
 
 // remove deletes [lo, hi) from the tracked regions of buffer b, splitting
 // regions that partially overlap. Split fragments keep the original
-// recency position and dirty bit. Merged regions overlapping the range are
-// exploded first so fragments land at their exact unmerged recency slots.
-// It returns the index at which a region starting at lo now belongs (the
-// insertion point insert uses).
+// recency position and dirty bit. It returns the index at which a region
+// starting at lo now belongs (the insertion point insert uses).
 func (c *cacheState) remove(buf uint64, lo, hi int64) int {
 	rs := c.regs(buf)
 	start := c.seek(buf, rs, lo)
-	for i := start; i < len(rs) && rs[i].lo < hi; i++ {
-		if len(rs[i].segs) > 0 {
-			c.explodeAt(rs[i], i)
-			rs = c.regs(buf)
-		}
-	}
-	// Explosions may have dropped finer-grained regions in front of the
-	// old start whose hi no longer clears lo; step past them.
-	for start < len(rs) && rs[start].hi <= lo {
-		start++
-	}
 	c.setCur(buf, start)
 	if start == len(rs) || rs[start].lo >= hi {
 		return start
@@ -604,35 +407,18 @@ func (c *cacheState) remove(buf uint64, lo, hi int64) int {
 	return i
 }
 
-// evict removes a whole plain region from the cache (LRU victim) and
-// recycles it.
+// evict removes a whole region from the cache (LRU victim) and recycles it.
 func (c *cacheState) evict(r *region) {
 	c.lruRemove(r)
 	c.used -= r.len()
 	rs := c.regs(r.buf)
-	// A streaming buffer's LRU order visits its regions in address order,
-	// so after the previous eviction spliced index i, this victim usually
-	// sits at index i of the same buffer again; validate before trusting.
-	i := -1
-	if r.buf == c.evictBuf {
-		if j := int(c.evictIdx); j < len(rs) && rs[j] == r {
-			i = j
-		}
-	}
-	if i < 0 {
-		if rs[0] == r {
-			i = 0
-		} else {
-			i = searchLo(rs, r.lo)
-		}
-	}
-	if i == 0 {
+	if rs[0] == r {
 		// Head drop (see remove): no memmove for in-address-order victims.
 		c.setRegs(r.buf, rs[1:])
 	} else {
+		i := searchLo(rs, r.lo)
 		c.setRegs(r.buf, append(rs[:i], rs[i+1:]...))
 	}
-	c.evictBuf, c.evictIdx = r.buf, int32(i)
 	c.release(r)
 }
 
@@ -654,18 +440,6 @@ func (c *cacheState) checkInvariants() error {
 			}
 			if r.lo < prev {
 				return fmt.Errorf("regions of buf %d out of order or overlapping", buf)
-			}
-			if len(r.segs) > 0 {
-				var segTotal int64
-				for _, s := range r.segs {
-					if s[0] >= s[1] || s[0] < r.lo || s[1] > r.hi {
-						return fmt.Errorf("segment %v outside region [%d,%d) of buf %d", s, r.lo, r.hi, buf)
-					}
-					segTotal += s[1] - s[0]
-				}
-				if segTotal != r.len() {
-					return fmt.Errorf("segments of region [%d,%d) sum to %d, want %d", r.lo, r.hi, segTotal, r.len())
-				}
 			}
 			prev = r.hi
 			total += r.len()

@@ -2,8 +2,9 @@ package memmodel
 
 import "testing"
 
-// FuzzCacheState drives the region tracker with arbitrary operation
-// streams decoded from fuzz input, checking structural invariants after
+// FuzzCacheState drives the region tracker and the naive reference (see
+// refCheck) with arbitrary operation streams decoded from fuzz input,
+// checking structural invariants and agreement with the reference after
 // every step. `go test` runs the seed corpus; `go test -fuzz=FuzzCacheState`
 // explores further.
 func FuzzCacheState(f *testing.F) {
@@ -11,22 +12,22 @@ func FuzzCacheState(f *testing.F) {
 	f.Add([]byte{255, 0, 255, 0, 128, 64, 32, 16})
 	f.Add([]byte("interval soup"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c := newCacheState(0, 2048)
+		h := newRefCheck(1024, 4, 8192)
 		for i := 0; i+4 <= len(data); i += 4 {
 			buf := uint64(data[i]%4) + 1
+			h.c.curSlot = int(data[i] / 64)
 			lo := int64(data[i+1]) * 16
 			hi := lo + int64(data[i+2])*8 + 1
+			var err error
 			switch data[i+3] % 4 {
 			case 0, 1:
-				c.insert(buf, lo, hi, data[i+3]%2 == 0)
+				err = h.insert(buf, lo, hi, data[i+3]%2 == 0)
 			case 2:
-				c.invalidate(buf, lo, hi)
+				err = h.invalidate(buf, lo, hi)
 			case 3:
-				if got := c.lookup(buf, lo, hi); got < 0 || got > hi-lo {
-					t.Fatalf("lookup out of bounds: %d for [%d,%d)", got, lo, hi)
-				}
+				err = h.lookup(buf, lo, hi)
 			}
-			if err := c.checkInvariants(); err != nil {
+			if err != nil {
 				t.Fatalf("step %d: %v", i/4, err)
 			}
 		}

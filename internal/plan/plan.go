@@ -164,7 +164,8 @@ type Table struct {
 }
 
 // NewTable indexes a set of plans for dispatch. Entries with unknown
-// collectives or duplicate (collective, bucket) keys are rejected.
+// collectives, buckets no int64 size falls in, or duplicate (collective,
+// bucket) keys are rejected.
 func NewTable(plans []Plan) (*Table, error) {
 	t := &Table{}
 	minB := [NumColls]int{}
@@ -176,6 +177,9 @@ func NewTable(plans []Plan) (*Table, error) {
 			return nil, err
 		}
 		b := plans[i].Bucket
+		if b < 0 || b > 63 { // Bucket's range over int64 sizes
+			return nil, fmt.Errorf("plan: %s bucket %d outside 0..63", plans[i].Collective, b)
+		}
 		if !seen[c] {
 			minB[c], maxB[c], seen[c] = b, b, true
 			continue

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -93,6 +94,39 @@ func TestTableRejectsDuplicatesAndGaps(t *testing.T) {
 	bad[0].Collective = "alltoall"
 	if _, err := NewTable(bad); err == nil {
 		t.Error("unknown collective accepted")
+	}
+}
+
+// A bucket outside Bucket's range over int64 sizes is an error naming the
+// collective and the bucket, before any slot is allocated: a table spanning
+// buckets 0..2^40 would otherwise exhaust memory.
+func TestTableRejectsOutOfRangeBuckets(t *testing.T) {
+	cases := []struct {
+		coll    string
+		buckets []int
+		bad     int // the bucket the error must name; 0 when the table is valid
+	}{
+		{"allreduce", []int{0, 1 << 40}, 1 << 40},
+		{"allreduce", []int{-1 << 62, 1 << 62}, -1 << 62},
+		{"allreduce", []int{-1, 0}, -1},
+		{"bcast", []int{63, 64}, 64},
+		{"bcast", []int{0, 1}, 0},
+		{"reduce", []int{62, 63}, 0},
+	}
+	for _, c := range cases {
+		var plans []Plan
+		for _, b := range c.buckets {
+			plans = append(plans, Plan{Collective: c.coll, Bucket: b, Params: Params{Family: "socket-ma"}, Source: "seed"})
+		}
+		_, err := NewTable(plans)
+		switch {
+		case c.bad == 0 && err != nil:
+			t.Errorf("%s buckets %v rejected: %v", c.coll, c.buckets, err)
+		case c.bad != 0 && err == nil:
+			t.Errorf("%s buckets %v accepted", c.coll, c.buckets)
+		case c.bad != 0 && !strings.Contains(err.Error(), fmt.Sprintf("%s bucket %d ", c.coll, c.bad)):
+			t.Errorf("%s buckets %v: error %q does not name %s bucket %d", c.coll, c.buckets, err, c.coll, c.bad)
+		}
 	}
 }
 

@@ -118,16 +118,26 @@ serve:
 serve-overload:
 	$(GO) run ./cmd/yhcclbench -serve-overload
 
-# Simulated-results ledger: the quick figure sweep must reproduce the
-# figure section of RESULTS.txt (every line above its first gate report,
-# `# chaos-recover`, less the blank line that separates the two) byte for
-# byte. A change that moves a makespan regenerates that section, and the
-# diff names the figure, series and size. Host measurements go to stderr
-# and are not compared.
+# Simulated-results ledger: RESULTS.txt is the quick figure sweep followed
+# by the verbatim stdout of five gates, each under a `# <make target>:
+# <command>` header. results rebuilds the whole file and diffs it byte for
+# byte, after one sed expression masks the host-dependent B/rank/run and
+# allocs/rank/run columns on both sides. A change that moves a makespan or
+# a gate line regenerates the file, and the diff names the figure, series
+# and size, or the gate case. Host measurements go to stderr and are not
+# compared.
 results:
-	out=$$(mktemp) && $(GO) run ./cmd/yhcclbench -exp all -quick > $$out && \
-	sed -n '/^# chaos-recover/q;p' RESULTS.txt | sed '$$d' | diff - $$out; \
-	rc=$$?; rm -f $$out; exit $$rc
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/yhcclbench" ./cmd/yhcclbench; \
+	"$$dir/yhcclbench" -exp all -quick > "$$dir/out"; \
+	for g in chaos-recover:chaos-recover serve:serve-gate chaos-cluster:chaos-cluster \
+		serve-overload:serve-overload chaos-churn:churn; do \
+		printf '\n# %s: yhcclbench -%s\n' "$${g%%:*}" "$${g#*:}" >> "$$dir/out"; \
+		"$$dir/yhcclbench" "-$${g#*:}" >> "$$dir/out"; \
+	done; \
+	mask='s/ *[0-9.]+ (B|allocs)\/rank\/run/ - \1\/rank\/run/g'; \
+	sed -E "$$mask" RESULTS.txt > "$$dir/want"; \
+	sed -E "$$mask" "$$dir/out" | diff "$$dir/want" -
 
 # Build and run every example; each exits nonzero (log.Fatal or panic) on
 # an error or a wrong result.

@@ -65,23 +65,6 @@ func TestRankPlanRangeTypedError(t *testing.T) {
 	}
 }
 
-func TestRestrictNodesCarriesHeals(t *testing.T) {
-	pl := &ClusterPlan{
-		Name:      "h",
-		Shape:     ClusterShape{Nodes: 4, PerNode: 8},
-		Crashes:   []NodeCrash{{Node: 1, AtTick: 10}},
-		Heals:     []NodeHeal{{Node: 1, AtTick: 0}, {Node: 3, AtTick: 5}},
-		LinkHeals: []LinkHeal{{Node: 3, AtTick: 7}},
-	}
-	out := pl.RestrictNodes([]int{0, 2, 3}) // node 1 excluded
-	if len(out.Heals) != 1 || out.Heals[0].Node != 2 || out.Heals[0].AtTick != 5 {
-		t.Fatalf("restricted heals = %+v", out.Heals)
-	}
-	if len(out.LinkHeals) != 1 || out.LinkHeals[0].Node != 2 {
-		t.Fatalf("restricted link heals = %+v", out.LinkHeals)
-	}
-}
-
 // Heal-free plans must keep the exact canonical JSON body they had before
 // heals existed, so every previously saved plan file still loads with a
 // matching checksum.

@@ -11,7 +11,6 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -20,7 +19,7 @@ var (
 	// the one it was generated for.
 	ErrPlanShape = errors.New("fault: plan/shape mismatch")
 	// ErrPlanRange marks a plan whose fault addresses a node, rank, tick or
-	// phase outside the target world.
+	// phase outside the target world, or carries a factor outside its range.
 	ErrPlanRange = errors.New("fault: plan fault out of range")
 )
 
@@ -165,6 +164,14 @@ func (pl *ClusterPlan) String() string {
 	return s
 }
 
+// maxClusterFactor caps LinkDegrade and NodeStraggler factors. An armed run
+// multiplies integer tick durations by them, and the largest makespan any
+// sweep compiles is about 1.5e12 ticks (the 64 MB leader-tree all-reduce on
+// 4096x64 ranks), so even a node both degraded and straggling at the cap
+// stays under a fifth of the int64 tick range. The sweeps' plans and
+// generators use factors of at most 16.
+const maxClusterFactor = 1000
+
 // Validate checks the plan against a cluster shape, rejecting out-of-range
 // nodes, invalid factors, and shape mismatches before they can confuse a run.
 func (pl *ClusterPlan) Validate(shape ClusterShape) error {
@@ -187,16 +194,16 @@ func (pl *ClusterPlan) Validate(shape ClusterShape) error {
 		if d.Node < 0 || d.Node >= nodes {
 			return fmt.Errorf("%w: link-degrade node %d outside cluster of %d nodes", ErrPlanRange, d.Node, nodes)
 		}
-		if !(d.Factor >= 1) || math.IsInf(d.Factor, 0) {
-			return fmt.Errorf("fault: link-degrade node %d has invalid factor %v (want >= 1)", d.Node, d.Factor)
+		if !(d.Factor >= 1 && d.Factor <= maxClusterFactor) {
+			return fmt.Errorf("%w: link-degrade node %d has invalid factor %v (want 1..%d)", ErrPlanRange, d.Node, d.Factor, maxClusterFactor)
 		}
 	}
 	for _, st := range pl.Stragglers {
 		if st.Node < 0 || st.Node >= nodes {
 			return fmt.Errorf("%w: node-straggler node %d outside cluster of %d nodes", ErrPlanRange, st.Node, nodes)
 		}
-		if !(st.Factor >= 1) || math.IsInf(st.Factor, 0) {
-			return fmt.Errorf("fault: node-straggler node %d has invalid factor %v (want >= 1)", st.Node, st.Factor)
+		if !(st.Factor >= 1 && st.Factor <= maxClusterFactor) {
+			return fmt.Errorf("%w: node-straggler node %d has invalid factor %v (want 1..%d)", ErrPlanRange, st.Node, st.Factor, maxClusterFactor)
 		}
 	}
 	for _, c := range pl.Corruptions {
@@ -254,121 +261,6 @@ func (pl *ClusterPlan) Class() string {
 		return "mixed"
 	}
 	return name
-}
-
-// VictimNodes returns the sorted, deduplicated set of nodes the plan targets.
-func (pl *ClusterPlan) VictimNodes() []int {
-	if pl.Empty() {
-		return nil
-	}
-	seen := map[int]bool{}
-	for _, c := range pl.Crashes {
-		seen[c.Node] = true
-	}
-	for _, d := range pl.LinkDegrades {
-		seen[d.Node] = true
-	}
-	for _, st := range pl.Stragglers {
-		seen[st.Node] = true
-	}
-	for _, c := range pl.Corruptions {
-		seen[c.Node] = true
-	}
-	out := make([]int, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// RestrictNodes maps the plan onto a recompiled cluster: survivors lists the
-// old node ids that remain, in their new order, so a fault on survivors[i]
-// is renumbered to node i and faults on excluded nodes are dropped. This is
-// the node-level analogue of Plan.Restrict — after the supervisor recompiles
-// the schedule around a dead node, the surviving nodes' faults keep firing
-// under their new ids and the dead node's faults die with it.
-func (pl *ClusterPlan) RestrictNodes(survivors []int) *ClusterPlan {
-	if pl.Empty() {
-		return nil
-	}
-	newNode := make(map[int]int, len(survivors))
-	for i, n := range survivors {
-		newNode[n] = i
-	}
-	out := &ClusterPlan{Name: pl.Name, Seed: pl.Seed}
-	if pl.Shape != (ClusterShape{}) {
-		out.Shape = ClusterShape{Nodes: len(survivors), PerNode: pl.Shape.PerNode}
-	}
-	for _, c := range pl.Crashes {
-		if nn, ok := newNode[c.Node]; ok {
-			c.Node = nn
-			out.Crashes = append(out.Crashes, c)
-		}
-	}
-	for _, d := range pl.LinkDegrades {
-		if nn, ok := newNode[d.Node]; ok {
-			d.Node = nn
-			out.LinkDegrades = append(out.LinkDegrades, d)
-		}
-	}
-	for _, st := range pl.Stragglers {
-		if nn, ok := newNode[st.Node]; ok {
-			st.Node = nn
-			out.Stragglers = append(out.Stragglers, st)
-		}
-	}
-	for _, c := range pl.Corruptions {
-		if nn, ok := newNode[c.Node]; ok {
-			c.Node = nn
-			out.Corruptions = append(out.Corruptions, c)
-		}
-	}
-	// Heals follow the same renumber-or-drop rule. Note that the supervisor
-	// deliberately keys heals by ORIGINAL node id against the base plan (a
-	// heal's whole point is to target a node that has left the membership),
-	// so it never reads them through a restricted copy.
-	for _, h := range pl.Heals {
-		if nn, ok := newNode[h.Node]; ok {
-			h.Node = nn
-			out.Heals = append(out.Heals, h)
-		}
-	}
-	for _, h := range pl.LinkHeals {
-		if nn, ok := newNode[h.Node]; ok {
-			h.Node = nn
-			out.LinkHeals = append(out.LinkHeals, h)
-		}
-	}
-	return out
-}
-
-// WithoutFiredCorruptions returns a copy of the plan with the phase
-// corruption dropped for every (node, phase) an event log shows already
-// fired. Transient semantics: a corruption that landed once does not land
-// again on the bounded retry, so the retried run completes clean.
-func (pl *ClusterPlan) WithoutFiredCorruptions(events []ClusterEvent) *ClusterPlan {
-	if pl.Empty() {
-		return pl
-	}
-	fired := map[[2]int]bool{}
-	for _, ev := range events {
-		if ev.Kind == "phase-corrupt" {
-			fired[[2]int{ev.Node, ev.Phase}] = true
-		}
-	}
-	if len(fired) == 0 {
-		return pl
-	}
-	out := &ClusterPlan{Name: pl.Name, Seed: pl.Seed, Shape: pl.Shape,
-		Crashes: pl.Crashes, LinkDegrades: pl.LinkDegrades, Stragglers: pl.Stragglers,
-		Heals: pl.Heals, LinkHeals: pl.LinkHeals}
-	for _, c := range pl.Corruptions {
-		if !fired[[2]int{c.Node, c.Phase}] {
-			out.Corruptions = append(out.Corruptions, c)
-		}
-	}
-	return out
 }
 
 // ClusterEvent records one cluster fault that actually fired (or was armed)

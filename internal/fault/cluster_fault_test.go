@@ -1,7 +1,9 @@
 package fault
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,44 +60,55 @@ func TestClusterPlanValidate(t *testing.T) {
 	}
 }
 
-func TestClusterPlanRestrictNodes(t *testing.T) {
-	pl := &ClusterPlan{
-		Name:         "r",
-		Shape:        ClusterShape{Nodes: 4, PerNode: 8},
-		Crashes:      []NodeCrash{{Node: 1, AtTick: 5}},
-		LinkDegrades: []LinkDegrade{{Node: 3, Factor: 2}},
-		Stragglers:   []NodeStraggler{{Node: 0, Factor: 3}},
-		Corruptions:  []PhaseCorrupt{{Node: 2, Phase: 1}},
-	}
-	// Node 1 dies: survivors keep firing under renumbered ids.
-	out := pl.RestrictNodes([]int{0, 2, 3})
-	if len(out.Crashes) != 0 {
-		t.Fatalf("dead node's crash survived: %v", out.Crashes)
-	}
-	if len(out.LinkDegrades) != 1 || out.LinkDegrades[0].Node != 2 {
-		t.Fatalf("degrade not renumbered 3->2: %v", out.LinkDegrades)
-	}
-	if len(out.Stragglers) != 1 || out.Stragglers[0].Node != 0 {
-		t.Fatalf("straggler not kept at 0: %v", out.Stragglers)
-	}
-	if len(out.Corruptions) != 1 || out.Corruptions[0].Node != 1 {
-		t.Fatalf("corruption not renumbered 2->1: %v", out.Corruptions)
-	}
-	if out.Shape != (ClusterShape{Nodes: 3, PerNode: 8}) {
-		t.Fatalf("shape not shrunk: %v", out.Shape)
-	}
-	if err := out.Validate(out.Shape); err != nil {
-		t.Fatalf("restricted plan invalid: %v", err)
-	}
-}
+// TestClusterPlanRejectsUnrepresentableFactors: a link-degrade or
+// node-straggler factor whose product with a makespan leaves the int64
+// tick range used to pass Validate, and the armed run then panicked with
+// "event posted into the past" (1e300), or ran to a makespan a quarter of
+// the tick range (1e9 on a 4x8 all-reduce). Validate, SaveClusterPlan and
+// LoadPlanFile now reject such a factor with an error wrapping
+// ErrPlanRange that names the node and the factor.
+func TestClusterPlanRejectsUnrepresentableFactors(t *testing.T) {
+	shape := ClusterShape{Nodes: 4, PerNode: 8}
+	for _, factor := range []float64{1e9, 1e300} {
+		for _, pl := range []*ClusterPlan{
+			{Name: "link-degrade", Shape: shape, LinkDegrades: []LinkDegrade{{Node: 1, Factor: factor}}},
+			{Name: "node-straggler", Shape: shape, Stragglers: []NodeStraggler{{Node: 1, Factor: factor}}},
+		} {
+			want := fmt.Sprintf("%s node 1 has invalid factor %v", pl.Name, factor)
+			check := func(what string, err error) {
+				t.Helper()
+				if !errors.Is(err, ErrPlanRange) || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s x%g: %s returned %v, want ErrPlanRange naming %q", pl.Name, factor, what, err, want)
+				}
+			}
+			check("Validate", pl.Validate(shape))
+			path := filepath.Join(t.TempDir(), "plan.json")
+			check("SaveClusterPlan", SaveClusterPlan(path, pl))
 
-func TestClusterPlanWithoutFiredCorruptions(t *testing.T) {
-	pl := &ClusterPlan{Corruptions: []PhaseCorrupt{{Node: 1, Phase: 0}, {Node: 2, Phase: 1}}}
-	out := pl.WithoutFiredCorruptions([]ClusterEvent{
-		{Kind: "phase-corrupt", Node: 2, Phase: 1, Tick: 99},
-	})
-	if len(out.Corruptions) != 1 || out.Corruptions[0].Node != 1 {
-		t.Fatalf("fired corruption not consumed: %v", out.Corruptions)
+			// The file an earlier SaveClusterPlan wrote: a valid checksum
+			// over the factor.
+			f := &PlanFile{FormatVersion: PlanFormatVersion, Cluster: pl}
+			sum, err := f.checksum()
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Checksum = sum
+			body, err := json.MarshalIndent(f, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, body, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = LoadPlanFile(path)
+			check("LoadPlanFile", err)
+		}
+	}
+	ceiling := &ClusterPlan{Shape: shape,
+		LinkDegrades: []LinkDegrade{{Node: 0, Factor: maxClusterFactor}},
+		Stragglers:   []NodeStraggler{{Node: 0, Factor: maxClusterFactor}}}
+	if err := ceiling.Validate(shape); err != nil {
+		t.Errorf("factors at the ceiling rejected: %v", err)
 	}
 }
 

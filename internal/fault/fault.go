@@ -306,26 +306,9 @@ func (in *Injector) BeginRun(ranks int) {
 	in.events = in.events[:0]
 }
 
-// SlowdownFor returns the straggler factor for rank, or 0 if the rank runs
-// at full speed. Firing is logged once per run.
-func (in *Injector) SlowdownFor(rank int) float64 {
-	if in.plan == nil {
-		return 0
-	}
-	for _, s := range in.plan.Stragglers {
-		if s.Rank == rank {
-			in.log(Event{Kind: "straggler", Rank: rank,
-				Detail: fmt.Sprintf("virtual time stretched x%g", s.Factor)})
-			return s.Factor
-		}
-	}
-	return 0
-}
-
 // LogStraggler records that a straggler slowdown was armed on the given
 // rank. The machine layer arms slowdowns by physical core (so quarantining
-// a rank onto a spare core escapes them) and reports the firing here; the
-// event format matches what SlowdownFor logs.
+// a rank onto a spare core escapes them) and reports the firing here.
 func (in *Injector) LogStraggler(rank int, factor float64) {
 	in.log(Event{Kind: "straggler", Rank: rank,
 		Detail: fmt.Sprintf("virtual time stretched x%g", factor)})

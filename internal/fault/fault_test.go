@@ -58,12 +58,7 @@ func TestInjectorLookups(t *testing.T) {
 		Stalls:     []Stall{{Rank: 5, At: 0.5, Crash: true}},
 	})
 	in.BeginRun(8)
-	if f := in.SlowdownFor(2); f != 4 {
-		t.Errorf("SlowdownFor(2) = %v, want 4", f)
-	}
-	if f := in.SlowdownFor(3); f != 0 {
-		t.Errorf("SlowdownFor(3) = %v, want 0", f)
-	}
+	in.LogStraggler(2, 4)
 	if s, ok := in.StallFor(5); !ok || s.At != 0.5 || !s.Crash {
 		t.Errorf("StallFor(5) = %+v,%v, want crash at 0.5", s, ok)
 	}
@@ -74,7 +69,7 @@ func TestInjectorLookups(t *testing.T) {
 	if len(evs) != 2 {
 		t.Fatalf("got %d events, want 2 (straggler + crash armed)", len(evs))
 	}
-	if evs[0].Kind != "straggler" || evs[0].Rank != 2 {
+	if evs[0].Kind != "straggler" || evs[0].Rank != 2 || evs[0].Detail != "virtual time stretched x4" {
 		t.Errorf("event 0 = %v", evs[0])
 	}
 	if evs[1].Kind != "crash" || evs[1].Rank != 5 {
@@ -85,9 +80,6 @@ func TestInjectorLookups(t *testing.T) {
 func TestNilPlanInjectorIsNoop(t *testing.T) {
 	in := NewInjector(nil)
 	in.BeginRun(4)
-	if in.SlowdownFor(0) != 0 {
-		t.Error("nil plan must not slow ranks")
-	}
 	if _, ok := in.StallFor(0); ok {
 		t.Error("nil plan must not stall ranks")
 	}
@@ -303,20 +295,6 @@ func TestPlanWithoutStraggler(t *testing.T) {
 	}
 	if len(got.Stalls) != 1 {
 		t.Error("stalls must survive")
-	}
-}
-
-func TestLogStragglerMatchesSlowdownForFormat(t *testing.T) {
-	pl := &Plan{Stragglers: []Straggler{{Rank: 2, Factor: 4}}}
-	a := NewInjector(pl)
-	a.BeginRun(8)
-	a.SlowdownFor(2)
-	b := NewInjector(pl)
-	b.BeginRun(8)
-	b.LogStraggler(2, 4)
-	if !reflect.DeepEqual(a.Events(), b.Events()) {
-		t.Errorf("LogStraggler event %v differs from SlowdownFor event %v",
-			b.Events(), a.Events())
 	}
 }
 

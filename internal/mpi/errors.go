@@ -88,29 +88,6 @@ func (e *EpochError) Error() string {
 		e.Comm, e.Stale, e.Current)
 }
 
-// TimeoutError reports a bounded receive that expired before the matching
-// send produced enough data, including how far the message had progressed —
-// the difference between "sender never arrived" and "sender died mid-message".
-type TimeoutError struct {
-	Rank    int
-	Op      string
-	Comm    string
-	Src     int // global rank of the expected sender
-	Done    int64
-	Total   int64
-	Timeout float64
-	Clock   float64
-}
-
-func (e *TimeoutError) Error() string {
-	op := e.Op
-	if op == "" {
-		op = "recv"
-	}
-	return fmt.Sprintf("mpi: rank%d %s on %s: recv from rank%d timed out after %g virtual seconds at t=%g (%d of %d elems received)",
-		e.Rank, op, e.Comm, e.Src, e.Timeout, e.Clock, e.Done, e.Total)
-}
-
 // wrapRunError converts a simulator failure into a RunError carrying the
 // machine-level context: rank/core/op attribution for every proc in the
 // failure snapshot, plus the active fault plan's fired events.

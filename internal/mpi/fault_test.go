@@ -176,51 +176,6 @@ func TestFaultPlanValidatedAgainstWorld(t *testing.T) {
 	}
 }
 
-func TestRecvTimeoutDiagnosesMissingSender(t *testing.T) {
-	m := NewMachine(topo.NodeA(), 2, true)
-	var terr error
-	_, err := m.Run(func(r *Rank) {
-		if r.ID() == 1 {
-			r.SetOp("probe")
-			buf := r.NewBuffer("buf", 64)
-			terr = r.RecvTimeout(r.World(), 0, buf, 0, 64, memmodel.Temporal, 1e-3)
-		}
-	})
-	if err != nil {
-		t.Fatalf("bounded recv must not deadlock the run: %v", err)
-	}
-	var te *TimeoutError
-	if !errors.As(terr, &te) {
-		t.Fatalf("got %v, want *TimeoutError", terr)
-	}
-	if te.Rank != 1 || te.Src != 0 || te.Done != 0 || te.Total != 64 || te.Op != "probe" {
-		t.Errorf("timeout context wrong: %+v", te)
-	}
-	if !strings.Contains(te.Error(), "rank1") || !strings.Contains(te.Error(), "0 of 64") {
-		t.Errorf("unhelpful message: %v", te)
-	}
-}
-
-func TestRecvTimeoutCompletesWhenSenderArrives(t *testing.T) {
-	m := NewMachine(topo.NodeA(), 2, true)
-	const n = 20000 // several chunks
-	m.MustRun(func(r *Rank) {
-		w := r.World()
-		buf := r.NewBuffer("buf", n)
-		if r.ID() == 0 {
-			r.FillPattern(buf, 5)
-			r.Send(w, 1, buf, 0, n)
-		} else {
-			if err := r.RecvTimeout(w, 0, buf, 0, n, memmodel.Temporal, 1.0); err != nil {
-				t.Errorf("recv timed out with a live sender: %v", err)
-			}
-			if got := buf.Slice(n-1, 1)[0]; got != 5+float64(n-1) {
-				t.Errorf("tail = %v", got)
-			}
-		}
-	})
-}
-
 func TestWatchdogCatchesLivelockedRun(t *testing.T) {
 	m := NewMachine(topo.NodeA(), 2, false)
 	m.Watchdog = 50_000

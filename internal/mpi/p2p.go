@@ -34,7 +34,6 @@ type chanState struct {
 	chunk    int64     // elements per chunk
 	sent     int64     // chunks ever published
 	rcvd     int64     // chunks ever consumed
-	inMsg    int64     // chunks consumed of a partially-received message (RecvTimeout)
 	msgsSent int64
 	msgsRcvd int64
 	gen      int // staging regrow generation
@@ -130,81 +129,15 @@ func (r *Rank) recvCommon(c *Comm, src int, n int64, consume func(ch *chanState,
 		panic("mpi: recv of non-positive length")
 	}
 	ch := c.channel(src, me, n)
-	if ch.inMsg > 0 {
-		// A previous RecvTimeout abandoned this channel mid-message. Fused
-		// receives (reduce/combine) cannot redeliver without double-applying
-		// the operator; only RecvTimeout knows how to resume.
-		panic(fmt.Sprintf("mpi: channel %s has a partially-received message (%d chunks in); complete it with RecvTimeout",
-			p2pKey(src, me), ch.inMsg))
-	}
-	var msgStart int64 // staging offset of this message's first chunk
 	for done := int64(0); done < n; {
 		k := min64(ch.chunk, n-done)
 		ch.produced.Wait(r.proc, r.Core(), uint64(ch.rcvd+1))
-		consume(ch, msgStart+done, off+done, k)
+		consume(ch, done, off+done, k)
 		ch.rcvd++
 		done += k
 	}
 	ch.msgsRcvd++
 	ch.consumed.Set(r.proc, uint64(ch.msgsRcvd))
-}
-
-// RecvTimeout is Recv with a per-chunk virtual-time bound: if the sender
-// fails to publish the next chunk within timeout virtual seconds, the
-// receive gives up and returns a *TimeoutError recording how much of the
-// message had arrived — distinguishing "sender never showed up" (0 of n)
-// from "sender died mid-message".
-//
-// A timed-out receive is resumable: calling RecvTimeout again with the same
-// src and n redelivers the chunks already drained (from staging, without
-// waiting) and then continues waiting for the rest, so a retry into a fresh
-// buffer sees the whole message and the matched sender is eventually
-// unblocked by the completed drain. The fused receive variants
-// (RecvReduce/RecvCombine) refuse a mid-message channel — they would
-// double-apply the operator on redelivery. Returns nil once the full
-// message has been received.
-func (r *Rank) RecvTimeout(c *Comm, src int, buf *memmodel.Buffer, off, n int64, kind memmodel.StoreKind, timeout float64) error {
-	me := c.CommRank(r.id)
-	if me < 0 {
-		panic(fmt.Sprintf("mpi: rank %d not in comm %s", r.id, c.Name()))
-	}
-	if src == me {
-		panic("mpi: recv from self")
-	}
-	if n <= 0 {
-		panic("mpi: recv of non-positive length")
-	}
-	ch := c.channel(src, me, n)
-	base := ch.rcvd - ch.inMsg // absolute chunk count at this message's start
-	resume := ch.inMsg         // chunks a prior timed-out attempt already drained
-	for done, idx := int64(0), int64(0); done < n; idx++ {
-		k := min64(ch.chunk, n-done)
-		if idx >= resume {
-			if !ch.produced.WaitTimeout(r.proc, r.Core(), uint64(base+idx+1), timeout) {
-				return &TimeoutError{
-					Rank:    r.id,
-					Op:      r.Op(),
-					Comm:    c.Name(),
-					Src:     c.GlobalRank(src),
-					Done:    done,
-					Total:   n,
-					Timeout: timeout,
-					Clock:   r.Now(),
-				}
-			}
-			ch.rcvd++
-			ch.inMsg++
-		}
-		// Chunks below resume were published before the previous timeout;
-		// they are still in staging (backpressure keeps the sender out until
-		// we set consumed), so redeliver without waiting.
-		r.CopyElems(buf, off+done, ch.staging, done, k, kind)
-		done += k
-	}
-	ch.inMsg = 0
-	ch.msgsRcvd++
-	ch.consumed.Set(r.proc, uint64(ch.msgsRcvd))
-	return nil
 }
 
 // RecvCombine receives n elements from comm rank src and writes

@@ -76,8 +76,6 @@ type ClusterPolicy struct {
 	AllowRejoin bool
 	// MinNodes refuses recompiles that would leave fewer nodes than this.
 	MinNodes int
-	// Horizon arms the no-progress watchdog on every attempt (0 = off).
-	Horizon sim.Tick
 }
 
 // DefaultClusterPolicy returns the policy the cluster chaos sweep uses.
@@ -402,7 +400,7 @@ func SuperviseCluster(c *cluster.Cluster, job ClusterJob, plan *fault.ClusterPla
 			return rep
 		}
 		curPlan := st.plan()
-		run, rerr := cluster.RunArmed(prog, curPlan, pol.Horizon)
+		run, rerr := cluster.RunArmed(prog, curPlan, 0)
 		at := ClusterAttempt{Action: action, Nodes: cur.Nodes, Epoch: cur.Epoch,
 			Alg: alg, Events: run.Events, Err: rerr}
 		if rerr == nil {
@@ -436,7 +434,7 @@ func SuperviseCluster(c *cluster.Cluster, job ClusterJob, plan *fault.ClusterPla
 					rep.DegradedMakespan = run.Res.Makespan
 					altProg, err := cur.Compile(job.Coll, alt, job.Elems, job.Opts)
 					if err == nil {
-						altRun, altErr := cluster.RunArmed(altProg, curPlan, pol.Horizon)
+						altRun, altErr := cluster.RunArmed(altProg, curPlan, 0)
 						altAt := ClusterAttempt{Action: "reroute", Nodes: cur.Nodes,
 							Epoch: cur.Epoch, Alg: alt, Events: altRun.Events, Err: altErr}
 						if altErr == nil {
@@ -455,7 +453,7 @@ func SuperviseCluster(c *cluster.Cluster, job ClusterJob, plan *fault.ClusterPla
 								rep.HealedLinks = append(rep.HealedLinks, healedLinks...)
 								healProg, err := cur.Compile(job.Coll, alg, job.Elems, job.Opts)
 								if err == nil {
-									healRun, healErr := cluster.RunArmed(healProg, st.plan(), pol.Horizon)
+									healRun, healErr := cluster.RunArmed(healProg, st.plan(), 0)
 									healAt := ClusterAttempt{Action: "link-heal", Nodes: cur.Nodes,
 										Epoch: cur.Epoch, Alg: alg, Events: healRun.Events, Err: healErr}
 									if healErr == nil {
@@ -540,10 +538,6 @@ func SuperviseCluster(c *cluster.Cluster, job ClusterJob, plan *fault.ClusterPla
 			st.cumTicks += int64(run.Res.Makespan)
 			st.consumeCorruptEvents(run.Events)
 			action = "retry"
-
-		case cerr.HorizonHit:
-			rep.Outcome, rep.Err = Unrecoverable, cerr
-			return rep
 
 		default:
 			rep.Outcome, rep.Err = Undiagnosed, cerr

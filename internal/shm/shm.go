@@ -82,15 +82,6 @@ func (f *Flag) Wait(p *sim.Proc, waiterCore int, v uint64) {
 	p.Wait(f.f, v, f.model.SyncLatency(waiterCore, f.ownerCore))
 }
 
-// WaitTimeout is Wait bounded by a virtual-time deadline: it reports false
-// if the flag has not reached v within timeout virtual seconds, resuming
-// the waiter at exactly the deadline instead of hanging. The timeout is a
-// discrete virtual-time event, so runs stay replayable.
-func (f *Flag) WaitTimeout(p *sim.Proc, waiterCore int, v uint64, timeout float64) bool {
-	f.model.CountSync()
-	return p.WaitTimeout(f.f, v, f.model.SyncLatency(waiterCore, f.ownerCore), timeout)
-}
-
 // Barrier synchronizes a fixed group of cores. The release latency models a
 // flag-tree barrier: 2*ceil(log2(parties)) one-way flag propagations at the
 // worst pairwise distance among the participants.

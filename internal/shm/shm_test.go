@@ -155,32 +155,6 @@ func TestBarrierEmptyCoreSet(t *testing.T) {
 	MustBarrier(m, "world/barrier", nil)
 }
 
-func TestFlagWaitTimeout(t *testing.T) {
-	m := testModel()
-	f := NewFlag(m, "f", 0)
-	e := sim.NewEngine()
-	var got, timedOut bool
-	e.Spawn("setter", func(p *sim.Proc) {
-		p.Advance(1e-6)
-		f.Set(p, 1)
-	})
-	e.Spawn("patient", func(p *sim.Proc) {
-		got = f.WaitTimeout(p, 1, 1, 1.0) // deadline far past the set
-	})
-	e.Spawn("hasty", func(p *sim.Proc) {
-		timedOut = !f.WaitTimeout(p, 2, 2, 1e-9) // threshold never reached
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !got {
-		t.Error("patient waiter should see the flag")
-	}
-	if !timedOut {
-		t.Error("hasty waiter should time out")
-	}
-}
-
 func intRange(n int) []int {
 	out := make([]int, n)
 	for i := range out {

@@ -68,7 +68,7 @@ const (
 	opAdvance
 	opSet
 	opWait
-	opWaitTimeout
+	opSleep // AdvanceTo now+timeout: stays parked while others are mid-charge
 	opArrive
 	opPingPong // zero-latency flag ping-pong with the partner proc, forever
 )
@@ -84,7 +84,7 @@ type progOp struct {
 }
 
 // chargeProgram is a generated multi-proc program: per-proc op lists over
-// shared flags (the last one is never set) and one barrier.
+// shared flags and one barrier.
 type chargeProgram struct {
 	ops       [][]progOp
 	flags     int
@@ -119,9 +119,9 @@ func randCharge(rng *rand.Rand) progOp {
 
 // genChargeProgram builds a deadlock-free program of 2-64 procs in rounds:
 // random charges and advances, then each proc sets its own flag, may wait
-// on its neighbour's (set before any wait of that round) or on the
-// never-set flag with a timeout that expires while other procs are
-// mid-charge, and all procs meet at the barrier.
+// on its neighbour's (set before any wait of that round) or sleep to a time
+// that comes while other procs are mid-charge, and all procs meet at the
+// barrier.
 func genChargeProgram(seed int64) chargeProgram {
 	rng := rand.New(rand.NewSource(seed))
 	return genChargeProgramN(rng, 2+rng.Intn(63))
@@ -129,7 +129,7 @@ func genChargeProgram(seed int64) chargeProgram {
 
 // genChargeProgramN is genChargeProgram with n procs.
 func genChargeProgramN(rng *rand.Rand, n int) chargeProgram {
-	pr := chargeProgram{ops: make([][]progOp, n), flags: n + 1, straggler: -1}
+	pr := chargeProgram{ops: make([][]progOp, n), flags: n, straggler: -1}
 	if rng.Intn(2) == 0 {
 		pr.straggler = rng.Intn(n)
 	}
@@ -149,7 +149,9 @@ func genChargeProgramN(rng *rand.Rand, n int) chargeProgram {
 			case 0:
 				ops = append(ops, progOp{kind: opWait, flag: (i + 1) % n, val: uint64(r + 1), lat: randDur(rng)})
 			case 1:
-				ops = append(ops, progOp{kind: opWaitTimeout, flag: n, val: 1, lat: randDur(rng), timeout: 2 * rng.Float64()})
+				// lat is drawn but unused, so every generated program keeps
+				// its RNG stream.
+				ops = append(ops, progOp{kind: opSleep, lat: randDur(rng), timeout: 2 * rng.Float64()})
 			}
 			ops = append(ops, randCharge(rng), progOp{kind: opArrive, lat: randDur(rng)})
 			pr.ops[i] = append(pr.ops[i], ops...)
@@ -211,8 +213,8 @@ func (pr chargeProgram) run(drive func(p *Proc, c Charge)) chargeRun {
 					p.Set(flags[op.flag], op.val)
 				case opWait:
 					p.Wait(flags[op.flag], op.val, op.lat)
-				case opWaitTimeout:
-					p.WaitTimeout(flags[op.flag], op.val, op.lat, op.timeout)
+				case opSleep:
+					p.AdvanceTo(p.Now() + op.timeout)
 				case opArrive:
 					p.Arrive(bar, op.lat)
 				case opPingPong:

@@ -104,11 +104,6 @@ type Proc struct {
 	// Advance hot path pays a single pointer compare).
 	fault *procFault
 
-	// timerSeq identifies this proc's pending bounded-wait timer (0 when
-	// none); timedOut reports whether the last blockTimeout expired.
-	timerSeq uint64
-	timedOut bool
-
 	// cont is the rest of a Charge the proc parked inside (nil otherwise).
 	// The engine loop runs it when the proc reaches the front of the run
 	// queue (see runCont).
@@ -235,7 +230,7 @@ func (p *Proc) advanceClock(dt float64) {
 }
 
 // checkTime is the validity check of every time and duration the engine
-// is handed (a latency, a timeout, a deadline, an AdvanceTo target): t
+// is handed (a latency, a release time, an AdvanceTo target): t
 // must be finite and non-negative, so that every clock stays so.
 func (p *Proc) checkTime(what string, t float64) {
 	if !(t >= 0 && t <= math.MaxFloat64) {
@@ -376,43 +371,6 @@ func (p *Proc) block(on blocker) {
 	p.blockedOn = nil
 }
 
-// waitCanceler is implemented by blockers that must drop a waiter when its
-// bounded wait times out (otherwise a later release would unblock a proc
-// that already resumed).
-type waitCanceler interface {
-	cancelWait(p *Proc)
-}
-
-// blockTimeout is block with a virtual-time deadline: if nothing unblocks
-// the proc before the deadline, the engine wakes it at exactly deadline and
-// blockTimeout reports true. The timeout is a discrete event in virtual
-// time (no wall clock), so bounded waits replay deterministically.
-func (p *Proc) blockTimeout(on blocker, deadline float64) (timedOut bool) {
-	e := p.engine
-	e.seqGen++
-	p.timerSeq = e.seqGen
-	p.timedOut = false
-	e.timers = append(e.timers, simTimer{deadline: deadline, seq: p.timerSeq, p: p})
-	e.updateHorizon()
-	p.block(on)
-	if p.timedOut {
-		p.timedOut = false
-		p.timerSeq = 0
-		return true
-	}
-	// Woken by a normal release: cancel the pending timer.
-	for i := range e.timers {
-		if e.timers[i].p == p && e.timers[i].seq == p.timerSeq {
-			e.timers[i] = e.timers[len(e.timers)-1]
-			e.timers = e.timers[:len(e.timers)-1]
-			break
-		}
-	}
-	p.timerSeq = 0
-	e.updateHorizon()
-	return false
-}
-
 // suspend returns control to the engine loop until this proc is resumed. If
 // the engine tore the run down while the proc was suspended, the body is
 // unwound instead (deferred functions still run; the coroutine wrapper
@@ -425,9 +383,8 @@ func (p *Proc) suspend() {
 }
 
 // unblock marks a blocked proc runnable, raising its clock to at least t
-// (a release time: a flag's set time plus the waiter's latency, a barrier's
-// release, or a timer's deadline). Must be called from the currently
-// running proc (or the engine).
+// (a release time: a flag's set time plus the waiter's latency, or a
+// barrier's release). Must be called from the currently running proc.
 func (p *Proc) unblock(t float64) {
 	if p.state != Blocked {
 		panic(fmt.Sprintf("sim: unblock of proc %q in state %s", p.name, p.state))
@@ -438,14 +395,6 @@ func (p *Proc) unblock(t float64) {
 	}
 	p.state = Ready
 	p.engine.makeRunnable(p)
-}
-
-// simTimer is a pending bounded-wait deadline: a discrete event at a
-// virtual time, cancelled lazily (seq must still match the proc's).
-type simTimer struct {
-	deadline float64
-	seq      uint64
-	p        *Proc
 }
 
 // DefaultWatchdogSwitches is the no-progress watchdog threshold used by
@@ -465,15 +414,10 @@ type Engine struct {
 	seqGen   uint64
 
 	// horizon caches the clock of the run queue's front (+Inf when the
-	// queue is empty), folded with the earliest pending timer deadline:
-	// the virtual time up to which the running proc may advance without
-	// yielding. Every run-queue or timer mutation refreshes it via
+	// queue is empty): the virtual time up to which the running proc may
+	// advance without yielding. Every run-queue mutation refreshes it via
 	// updateHorizon, so the per-op yield check is one comparison.
 	horizon float64
-
-	// timers holds pending bounded-wait deadlines (usually empty; a linear
-	// scan keeps the common path allocation- and branch-free).
-	timers []simTimer
 
 	// watchdog is the no-progress threshold (0 disables detection);
 	// idleSwitches counts scheduler switches since lastMin last advanced.
@@ -499,33 +443,10 @@ func (e *Engine) SetWatchdog(n int) {
 	e.watchdog = n
 }
 
-// earliestTimer returns the index of the earliest pending timer (deadline,
-// then seq), or -1 when none are pending.
-func (e *Engine) earliestTimer() int {
-	if len(e.timers) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(e.timers); i++ {
-		ti, tb := e.timers[i], e.timers[best]
-		if ti.deadline < tb.deadline || (ti.deadline == tb.deadline && ti.seq < tb.seq) {
-			best = i
-		}
-	}
-	return best
-}
-
-// updateHorizon re-derives the run-ahead horizon from the run queue's front
-// and the earliest timer deadline. Called after every run-queue or timer
-// mutation.
+// updateHorizon re-derives the run-ahead horizon from the run queue's
+// front. Called after every run-queue mutation.
 func (e *Engine) updateHorizon() {
-	_, h := e.runq.top()
-	if len(e.timers) > 0 {
-		if t := e.timers[e.earliestTimer()].deadline; t < h {
-			h = t
-		}
-	}
-	e.horizon = h
+	_, e.horizon = e.runq.top()
 }
 
 // Spawn registers a new process with the given body. It must be called
@@ -629,26 +550,7 @@ func (e *Engine) Run() error {
 		}
 	}()
 	for {
-		// A bounded wait whose deadline precedes every runnable proc's
-		// clock expires now: the waiter resumes at exactly its deadline.
-		// (An empty queue's front clock is +Inf, and deadlines are finite.)
 		leaf, front := e.runq.top()
-		if i := e.earliestTimer(); i >= 0 {
-			tm := e.timers[i]
-			if tm.deadline < front {
-				e.timers[i] = e.timers[len(e.timers)-1]
-				e.timers = e.timers[:len(e.timers)-1]
-				if tm.p.state == Blocked && tm.p.timerSeq == tm.seq {
-					tm.p.timedOut = true
-					if c, ok := tm.p.blockedOn.(waitCanceler); ok {
-						c.cancelWait(tm.p)
-					}
-					tm.p.unblock(tm.deadline)
-				}
-				e.updateHorizon()
-				continue
-			}
-		}
 		if !e.runq.queued(leaf) {
 			break
 		}
@@ -704,11 +606,11 @@ func (e *Engine) dequeue(p *Proc) {
 //
 // p stays at its leaf meanwhile. After each sub-charge one replay re-keys
 // the leaf with p's new clock and the seq a re-park would give it, and the
-// horizon is re-derived from the new front, folded with the timers as
-// usual. When another proc leads, its key precedes p's, so its clock is
-// the others' earliest and at most p's: p continues only on a tie. When p
-// still leads, its clock is below every other proc's and only a timer can
-// stop it. Either way that is yield's test against the queue without p.
+// horizon is re-derived from the new front. When another proc leads, its
+// key precedes p's, so its clock is the others' earliest and at most p's:
+// p continues only on a tie. When p still leads, the horizon is its own
+// clock and it continues. Either way that is yield's test against the
+// queue without p.
 // Past the horizon the seq is committed and p is already parked; within
 // it the seq stays unused.
 //

@@ -176,110 +176,6 @@ func TestDeadlockMessageExactFormat(t *testing.T) {
 	}
 }
 
-func TestWaitTimeoutExpiresAtDeadline(t *testing.T) {
-	e := NewEngine()
-	f := NewFlag("never")
-	var ok bool
-	var end float64
-	e.Spawn("waiter", func(p *Proc) {
-		p.Advance(1)
-		ok = p.WaitTimeout(f, 1, 0.125, 2)
-		end = p.Now()
-	})
-	e.Spawn("other", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Advance(1)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("wait on a never-set flag should time out")
-	}
-	if end != 3 {
-		t.Errorf("waiter resumed at %v, want exactly 3 (deadline)", end)
-	}
-	if len(f.waiters) != 0 {
-		t.Errorf("%d stale waiters left on flag after timeout", len(f.waiters))
-	}
-}
-
-func TestWaitTimeoutSatisfiedBeforeDeadline(t *testing.T) {
-	e := NewEngine()
-	f := NewFlag("f")
-	var ok bool
-	var end float64
-	e.Spawn("setter", func(p *Proc) {
-		p.Advance(1)
-		p.Set(f, 1)
-		p.Advance(10)
-	})
-	e.Spawn("waiter", func(p *Proc) {
-		ok = p.WaitTimeout(f, 1, 0.5, 100)
-		end = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("wait should be satisfied by the setter")
-	}
-	if end != 1.5 {
-		t.Errorf("waiter released at %v, want 1.5 (set time + latency)", end)
-	}
-}
-
-// TestWaitTimeoutAvoidsDeadlock is the bounded-wait contract: a flag wait
-// that would deadlock the run instead times out and lets the run finish.
-func TestWaitTimeoutAvoidsDeadlock(t *testing.T) {
-	e := NewEngine()
-	f := NewFlag("never")
-	timedOut := false
-	e.Spawn("waiter", func(p *Proc) {
-		timedOut = !p.WaitTimeout(f, 1, 0, 5)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("bounded wait must not deadlock: %v", err)
-	}
-	if !timedOut {
-		t.Error("expected timeout")
-	}
-}
-
-func TestWaitTimeoutDeterministicInterleaving(t *testing.T) {
-	run := func() []float64 {
-		e := NewEngine()
-		f := NewFlag("f")
-		var clocks []float64
-		e.Spawn("late-setter", func(p *Proc) {
-			p.Advance(7)
-			p.Set(f, 1)
-		})
-		for i := 0; i < 3; i++ {
-			i := i
-			e.Spawn("w", func(p *Proc) {
-				// Deadlines 2, 4, 6 all precede the set at 7: all time out.
-				p.WaitTimeout(f, 1, 0, float64(2*(i+1)))
-				clocks = append(clocks, p.Now())
-			})
-		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return clocks
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("timeout runs diverged at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	if got := a[0]; got != 2 {
-		t.Errorf("first timeout resumed at %v, want 2", got)
-	}
-}
-
 func TestWatchdogDetectsLivelock(t *testing.T) {
 	e := NewEngine()
 	e.SetWatchdog(10_000)

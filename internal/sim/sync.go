@@ -69,37 +69,6 @@ func (p *Proc) Wait(f *Flag, v uint64, latency float64) {
 	p.block(f)
 }
 
-// WaitTimeout is Wait bounded by a virtual-time deadline of now+timeout
-// seconds: instead of hanging forever on a flag that never reaches v, the
-// waiter resumes at exactly the deadline and WaitTimeout reports false.
-// The timeout is a discrete virtual-time event, so bounded waits replay
-// deterministically; there is no wall-clock involvement. A negative or
-// non-finite latency or timeout panics, as does a deadline past the float
-// range.
-func (p *Proc) WaitTimeout(f *Flag, v uint64, latency, timeout float64) bool {
-	p.checkTime("flag latency", latency)
-	p.checkTime("timeout", timeout)
-	deadline := p.clock + timeout
-	p.checkTime("deadline", deadline)
-	if f.val >= v {
-		p.Advance(latency)
-		return true
-	}
-	f.waiters = append(f.waiters, flagWaiter{p: p, threshold: v, latency: latency})
-	return !p.blockTimeout(f, deadline)
-}
-
-// cancelWait drops p from the waiter list when its bounded wait expires, so
-// a later Set cannot wake a proc that already resumed.
-func (f *Flag) cancelWait(p *Proc) {
-	for i, w := range f.waiters {
-		if w.p == p {
-			f.waiters = append(f.waiters[:i], f.waiters[i+1:]...)
-			return
-		}
-	}
-}
-
 // blockedReason renders a waiter's condition for deadlock diagnostics.
 func (f *Flag) blockedReason(p *Proc) string {
 	for _, w := range f.waiters {

@@ -68,11 +68,16 @@ type report struct {
 	Fig11aQuickSeconds float64           `json:"fig11a_quick_wall_seconds,omitempty"`
 }
 
-// run measures one benchmark sample and logs it.
+// run measures one benchmark sample and logs it, with any counts the
+// benchmark reports.
 func run(name string, f func(b *testing.B)) testing.BenchmarkResult {
 	r := testing.Benchmark(f)
 	ns := nsPerOp(r)
-	fmt.Fprintf(os.Stderr, "%-24s %10.1f ns/op %14.0f ops/sec\n", name, ns, 1e9/ns)
+	fmt.Fprintf(os.Stderr, "%-24s %10.1f ns/op %14.0f ops/sec", name, ns, 1e9/ns)
+	for _, unit := range slices.Sorted(maps.Keys(r.Extra)) {
+		fmt.Fprintf(os.Stderr, " %12.0f %s", r.Extra[unit], unit)
+	}
+	fmt.Fprintln(os.Stderr)
 	return r
 }
 
@@ -174,9 +179,11 @@ func modelLoad(b *testing.B) {
 }
 
 // coroutineDPML measures one warm, model-only DPML all-reduce of 8 MB on
-// NodeA with 64 ranks: every rank streams fused Copy/Accumulate charges
-// through the shared residency trackers, so the coroutine engine's
-// per-sub-charge scheduling dominates, as in the paper's 64 MB baseline.
+// NodeA with 64 ranks: every rank streams runs of fused copies and
+// reductions through the shared residency trackers, so the coroutine
+// engine's per-sub-charge scheduling dominates, as in the paper's 64 MB
+// baseline. It reports the engine's run-queue pops and coroutine resumes
+// per all-reduce.
 func coroutineDPML(b *testing.B) {
 	const n = int64(8<<20) / memmodel.ElemSize
 	m := mpi.NewMachine(topo.NodeA(), 64, false)
@@ -192,6 +199,9 @@ func coroutineDPML(b *testing.B) {
 	for range b.N {
 		m.MustRun(body)
 	}
+	counts := m.RunCounts()
+	b.ReportMetric(float64(counts.Pops), "pops/op")
+	b.ReportMetric(float64(counts.Resumes), "resumes/op")
 }
 
 // eventPostPop drives the event calendar's push/pop hot path at a rolling

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"yhccl/internal/cluster"
 	"yhccl/internal/fault"
+	"yhccl/internal/resilient"
+	"yhccl/internal/topo"
 )
 
 // A replayed cluster plan that does not fit the declared -fault-shape is
@@ -54,5 +58,42 @@ func TestReplayRejectsRankPlanOutsideWorld(t *testing.T) {
 	buf.Reset()
 	if err := runFaultReplay(&buf, path, "", 4, false); err != nil {
 		t.Fatalf("replay under the recorded world failed: %v", err)
+	}
+}
+
+// A phase corruption of node 0 at shape 1x1 passes Validate, but node 0
+// runs no step of the program, so RunArmed rejects the plan before arming
+// it. Such a plan is diagnosed by construction: supervising the loaded
+// file reports it unrecoverable with the range error, and its replay
+// prints no UNDIAGNOSED line.
+func TestReplayDiagnosesPlanRejectedBeforeArming(t *testing.T) {
+	pl := &fault.ClusterPlan{
+		Name:        "idle-node",
+		Shape:       fault.ClusterShape{Nodes: 1, PerNode: 1},
+		Corruptions: []fault.PhaseCorrupt{{Node: 0, Phase: 1}},
+	}
+	path := filepath.Join(t.TempDir(), "idle.json")
+	if err := fault.SaveClusterPlan(path, pl); err != nil {
+		t.Fatal(err)
+	}
+	pf, err := fault.LoadPlanFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cluster.New(topo.NodeA(), 1, 1, cluster.IB100())
+	job := resilient.ClusterJob{Coll: cluster.CollAllreduce, Alg: cluster.YHCCLHierarchical, Elems: 1 << 16}
+	rep := resilient.SuperviseCluster(c, job, pf.Cluster, resilient.DefaultClusterPolicy())
+	if rep.Outcome != resilient.Unrecoverable || !errors.Is(rep.Err, fault.ErrPlanRange) {
+		t.Fatalf("outcome %s (%v), want %s wrapping fault.ErrPlanRange", rep.Outcome, rep.Err, resilient.Unrecoverable)
+	}
+	var buf bytes.Buffer
+	_ = runFaultReplay(&buf, path, "", 0, false) // per-rank budget lines at 1x1 are a separate matter
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, string(resilient.Undiagnosed)) || strings.Contains(line, "VIOLATION: UNDIAGNOSED") {
+			t.Fatalf("replay reports the plan undiagnosed:\n%s", buf.String())
+		}
+	}
+	if !strings.HasPrefix(buf.String(), "replaying") || !strings.Contains(buf.String(), string(resilient.Unrecoverable)) {
+		t.Fatalf("replay output names no unrecoverable outcome:\n%s", buf.String())
 	}
 }

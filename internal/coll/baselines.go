@@ -28,29 +28,8 @@ func dpmlCopyIn(r *mpi.Rank, c *mpi.Comm, sb *memmodel.Buffer, total int64, labe
 		segs[k] = c.Shared(fmt.Sprintf("%s/seg%d/n=%d", label, k, total), c.SocketOf(k), total)
 	}
 	res = c.Shared(fmt.Sprintf("%s/res/n=%d", label, total), 0, total)
-	for off := int64(0); off < total; off += dpmlSliceElems {
-		ln := min64(dpmlSliceElems, total-off)
-		memcopy.Copy(r, memcopy.Memmove, segs[me], off, sb, off, ln, memcopy.Hints{})
-	}
+	memcopy.CopyRun(r, memcopy.Memmove, segs[me], 0, sb, 0, total, dpmlSliceElems, memcopy.Hints{})
 	return segs, res
-}
-
-// dpmlReduceBlock reduces [lo, lo+ln) across all segments into res.
-func dpmlReduceBlock(r *mpi.Rank, segs []*memmodel.Buffer, res *memmodel.Buffer, lo, ln int64, op mpi.Op) {
-	if ln <= 0 {
-		return
-	}
-	for off := lo; off < lo+ln; off += dpmlSliceElems {
-		k := min64(dpmlSliceElems, lo+ln-off)
-		if len(segs) == 1 {
-			r.CopyElems(res, off, segs[0], off, k, memmodel.Temporal)
-			continue
-		}
-		r.CombineElems(res, off, segs[0], off, segs[1], off, k, op, memmodel.Temporal)
-		for s := 2; s < len(segs); s++ {
-			r.AccumulateElems(res, off, segs[s], off, k, op, memmodel.Temporal)
-		}
-	}
 }
 
 // ReduceScatterDPML is the DPML parallel reduction [13] shaped as a
@@ -63,7 +42,7 @@ func ReduceScatterDPML(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int6
 	total := p * n
 	segs, res := dpmlCopyIn(r, c, sb, total, "dpml-rs")
 	c.Barrier().Arrive(r.Proc())
-	dpmlReduceBlock(r, segs, res, me*n, n, op)
+	r.ReduceRun(res, me*n, segs, me*n, n, dpmlSliceElems, op, memmodel.Temporal)
 	c.Barrier().Arrive(r.Proc())
 	memcopy.Copy(r, memcopy.Memmove, rb, 0, res, me*n, n, memcopy.Hints{})
 }
@@ -79,13 +58,10 @@ func AllreduceDPML(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, o
 	c.Barrier().Arrive(r.Proc())
 	lo := me * bn
 	if lo < n {
-		dpmlReduceBlock(r, segs, res, lo, min64(bn, n-lo), op)
+		r.ReduceRun(res, lo, segs, lo, min64(bn, n-lo), dpmlSliceElems, op, memmodel.Temporal)
 	}
 	c.Barrier().Arrive(r.Proc())
-	for off := int64(0); off < n; off += dpmlSliceElems {
-		ln := min64(dpmlSliceElems, n-off)
-		memcopy.Copy(r, memcopy.Memmove, rb, off, res, off, ln, memcopy.Hints{})
-	}
+	memcopy.CopyRun(r, memcopy.Memmove, rb, 0, res, 0, n, dpmlSliceElems, memcopy.Hints{})
 }
 
 // ReduceDPML is DPML shaped as a rooted reduce. DAV s*(5p-1).
@@ -97,14 +73,11 @@ func ReduceDPML(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op m
 	c.Barrier().Arrive(r.Proc())
 	lo := me * bn
 	if lo < n {
-		dpmlReduceBlock(r, segs, res, lo, min64(bn, n-lo), op)
+		r.ReduceRun(res, lo, segs, lo, min64(bn, n-lo), dpmlSliceElems, op, memmodel.Temporal)
 	}
 	c.Barrier().Arrive(r.Proc())
 	if int(me) == root {
-		for off := int64(0); off < n; off += dpmlSliceElems {
-			ln := min64(dpmlSliceElems, n-off)
-			memcopy.Copy(r, memcopy.Memmove, rb, off, res, off, ln, memcopy.Hints{})
-		}
+		memcopy.CopyRun(r, memcopy.Memmove, rb, 0, res, 0, n, dpmlSliceElems, memcopy.Hints{})
 	}
 }
 

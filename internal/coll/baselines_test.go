@@ -174,3 +174,31 @@ func TestMABeatsBaselinesOnLargeMessages(t *testing.T) {
 			tMA, tDPML, tRing, tRab)
 	}
 }
+
+// TestDPMLRunCounts pins the engine work of one warm 4 MB DPML all-reduce
+// on NodeA with 64 ranks. Its copy-in, block reduction and copy-out are
+// runs of fused ops, each charged as one sim.Charge: the run-queue pops
+// are exactly those of one park per sub-charge (the schedule did not
+// change), while each rank's coroutine resumes a handful of times instead
+// of once per op (97,977 resumes when every op was its own charge).
+func TestDPMLRunCounts(t *testing.T) {
+	const p = 64
+	const n = int64(4<<20) / memmodel.ElemSize
+	m := mpi.NewMachine(topo.NodeA(), p, false)
+	body := func(r *mpi.Rank) {
+		sb := r.PersistentBuffer("sb", n)
+		rb := r.PersistentBuffer("rb", n)
+		r.Warm(sb, 0, n)
+		r.Warm(rb, 0, n)
+		AllreduceDPML(r, r.World(), sb, rb, n, mpi.Sum, Options{})
+	}
+	m.MustRun(body)
+	m.MustRun(body)
+	got := m.RunCounts()
+	if got.Pops != 260182 {
+		t.Errorf("%d run-queue pops, want 260182", got.Pops)
+	}
+	if got.Resumes > 8*p {
+		t.Errorf("%d coroutine resumes, want at most %d (8 per rank)", got.Resumes, 8*p)
+	}
+}

@@ -125,21 +125,16 @@ func socketMAReduce(r *mpi.Rank, c *mpi.Comm, sb *memmodel.Buffer, n int64, op m
 }
 
 // combineSockets folds the m per-socket partials of slot `slotOff` into
-// dst[dOff..] (first a 2-operand combine, then accumulates), charging the
-// cross-socket loads the remote slots imply.
+// dst[dOff..] as one run, charging the cross-socket loads the remote slots
+// imply.
 func combineSockets(r *mpi.Rank, c *mpi.Comm, geo socketGeometry, label string,
 	dst *memmodel.Buffer, dOff, slotOff, length int64, op mpi.Op, kind memmodel.StoreKind) {
-	s0 := socketShm(c, 0, geo.I, geo.q, label+"/intra")
-	if geo.m == 1 {
-		r.CopyElems(dst, dOff, s0, slotOff, length, kind)
-		return
+	var parts [2]*memmodel.Buffer // the sources of a two-socket node stay on the stack
+	srcs := parts[:0]
+	for k := 0; k < geo.m; k++ {
+		srcs = append(srcs, socketShm(c, k, geo.I, geo.q, label+"/intra"))
 	}
-	s1 := socketShm(c, 1, geo.I, geo.q, label+"/intra")
-	r.CombineElems(dst, dOff, s0, slotOff, s1, slotOff, length, op, kind)
-	for k := 2; k < geo.m; k++ {
-		sk := socketShm(c, k, geo.I, geo.q, label+"/intra")
-		r.AccumulateElems(dst, dOff, sk, slotOff, length, op, kind)
-	}
+	r.ReduceRun(dst, dOff, srcs, slotOff, length, length, op, kind)
 }
 
 // ReduceScatterSocketMA is the socket-aware MA reduce-scatter (§3.3,

@@ -19,10 +19,7 @@ import (
 // into a node segment, copy-out.
 func AllreduceTwoLevel(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, o Options) {
 	twoLevelReduce(r, c, sb, n, op, o, "2lvl-ar", func(res *memmodel.Buffer) {
-		for off := int64(0); off < n; off += dpmlSliceElems {
-			ln := min64(dpmlSliceElems, n-off)
-			r.CopyElems(rb, off, res, off, ln, memmodel.Temporal)
-		}
+		r.CopyRun(rb, 0, res, 0, n, dpmlSliceElems, memmodel.Temporal)
 	})
 }
 
@@ -63,7 +60,7 @@ func twoLevelReduce(r *mpi.Rank, c *mpi.Comm, sb *memmodel.Buffer, n int64, op m
 		bn := ceilDiv(n, int64(p))
 		lo := int64(me) * bn
 		if lo < n {
-			dpmlReduceBlock(r, segs, res, lo, min64(bn, n-lo), op)
+			r.ReduceRun(res, lo, segs, lo, min64(bn, n-lo), dpmlSliceElems, op, memmodel.Temporal)
 		}
 		c.Barrier().Arrive(r.Proc())
 		finish(res)
@@ -88,7 +85,7 @@ func twoLevelReduce(r *mpi.Rank, c *mpi.Comm, sb *memmodel.Buffer, n int64, op m
 	bq := ceilDiv(n, int64(q))
 	lo := int64(u) * bq
 	if lo < n {
-		dpmlReduceBlock(r, segs, partial, lo, min64(bq, n-lo), op)
+		r.ReduceRun(partial, lo, segs, lo, min64(bq, n-lo), dpmlSliceElems, op, memmodel.Temporal)
 	}
 	c.Barrier().Arrive(r.Proc())
 
@@ -103,14 +100,7 @@ func twoLevelReduce(r *mpi.Rank, c *mpi.Comm, sb *memmodel.Buffer, n int64, op m
 		for k := 0; k < m; k++ {
 			parts[k] = mach.SocketComm(k).Shared(fmt.Sprintf("%s/partial/n=%d", label, n), k, n)
 		}
-		if m == 1 {
-			r.CopyElems(res, lo, parts[0], lo, ln, memmodel.Temporal)
-		} else {
-			r.CombineElems(res, lo, parts[0], lo, parts[1], lo, ln, op, memmodel.Temporal)
-			for k := 2; k < m; k++ {
-				r.AccumulateElems(res, lo, parts[k], lo, ln, op, memmodel.Temporal)
-			}
-		}
+		r.ReduceRun(res, lo, parts, lo, ln, ln, op, memmodel.Temporal)
 	}
 	c.Barrier().Arrive(r.Proc())
 	finish(res)

@@ -117,3 +117,20 @@ func Copy(r *mpi.Rank, p Policy, dst *memmodel.Buffer, dOff int64,
 	src *memmodel.Buffer, sOff, n int64, h Hints) {
 	r.CopyElems(dst, dOff, src, sOff, n, Decide(p, n*memmodel.ElemSize, h))
 }
+
+// CopyRun is Copy in ops of at most slice elements, charged as one run
+// (mpi.Rank.CopyRun). The policy decides each op's store kind on the op's
+// size, as Copy would per op: only a ragged tail can differ from the full
+// slices, and then it is copied on its own after the run.
+func CopyRun(r *mpi.Rank, p Policy, dst *memmodel.Buffer, dOff int64,
+	src *memmodel.Buffer, sOff, n, slice int64, h Hints) {
+	kind := Decide(p, min(n, slice)*memmodel.ElemSize, h)
+	var tail int64
+	if slice > 0 && n > slice && Decide(p, n%slice*memmodel.ElemSize, h) != kind {
+		tail = n % slice
+	}
+	r.CopyRun(dst, dOff, src, sOff, n-tail, slice, kind)
+	if tail > 0 {
+		Copy(r, p, dst, dOff+n-tail, src, sOff+n-tail, tail, h)
+	}
+}

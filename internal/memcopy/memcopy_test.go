@@ -167,3 +167,36 @@ func TestCopyMovesRealData(t *testing.T) {
 		}
 	})
 }
+
+// TestCopyRunDecidesPerOpSize: CopyRun charges exactly what Copy per slice
+// charges. Memmove's NT switch looks at each op's size, so with slices at
+// the threshold the full slices are non-temporal and a ragged tail below
+// it is temporal.
+func TestCopyRunDecidesPerOpSize(t *testing.T) {
+	const slice = MemmoveNTThreshold / memmodel.ElemSize
+	for _, n := range []int64{slice / 2, slice, 3 * slice, 3*slice + 100} {
+		run := func(loop bool) (float64, memmodel.Counters) {
+			m := mpi.NewMachine(topo.NodeA(), 1, false)
+			t := m.MustRun(func(r *mpi.Rank) {
+				src := r.NewBuffer("src", n)
+				dst := r.NewBuffer("dst", n)
+				if !loop {
+					CopyRun(r, Memmove, dst, 0, src, 0, n, slice, Hints{})
+					return
+				}
+				for off := int64(0); off < n; off += slice {
+					Copy(r, Memmove, dst, off, src, off, min(slice, n-off), Hints{})
+				}
+			})
+			return t, m.Model.Counters()
+		}
+		gotT, got := run(false)
+		wantT, want := run(true)
+		if gotT != wantT || got != want {
+			t.Errorf("n=%d: CopyRun took %g with %+v, the Copy loop %g with %+v", n, gotT, got, wantT, want)
+		}
+		if full := n / slice * slice * memmodel.ElemSize; got.NTStoreBytes != full {
+			t.Errorf("n=%d: %d non-temporal bytes, want the %d of the full slices", n, got.NTStoreBytes, full)
+		}
+	}
+}

@@ -15,16 +15,52 @@ type fusedRun struct {
 	clocks    []float64
 	counters  Counters
 	occupancy []int64
+	resumes   uint64
 }
 
-// runFusedWorkload drives seeded Copy/Accumulate/Combine/ReduceFloor ops
+// chargeForm says how runFusedWorkload issues its ops.
+type chargeForm int
+
+const (
+	// formRuns issues a drawn run as one Run and every other op as one Fuse.
+	formRuns chargeForm = iota
+	// formFused issues every op, a run's ops included, as one Fuse.
+	formFused
+	// formSplit issues every sub-charge as its own Load, Store or
+	// ReduceFloor call.
+	formSplit
+)
+
+// issue charges op in the given form (formRuns charges it as one Fuse).
+func issue(m *Model, p *sim.Proc, core int, op Op, kind StoreKind, form chargeForm) {
+	if form != formSplit {
+		m.Fuse(p, core, op, kind, nil)
+		return
+	}
+	switch op.Kind {
+	case CopyOp:
+		m.Load(p, core, op.A, op.AOff, op.N)
+		m.Store(p, core, op.Dst, op.DOff, op.N, kind)
+		return
+	case AccumulateOp:
+		m.Load(p, core, op.Dst, op.DOff, op.N)
+		m.Load(p, core, op.A, op.AOff, op.N)
+	case CombineOp:
+		m.Load(p, core, op.A, op.AOff, op.N)
+		m.Load(p, core, op.B, op.BOff, op.N)
+	}
+	m.Store(p, core, op.Dst, op.DOff, op.N, kind)
+	m.ReduceFloor(p, op.N)
+}
+
+// runFusedWorkload drives seeded copies, accumulates, combines, floors and
+// runs (1-4 sources folded in slices with ragged tails, or in one slice)
 // from procs on both sockets of NodeA through shared, private and pinned
 // buffers sized past the LLC, so sub-charges of different procs interleave
-// in the same residency trackers, evict and write back. With split, every
-// fused op is made as its separate Load/Store/ReduceFloor calls instead.
-// The model binds fewer ranks than there are procs, so the charge table
-// also grows mid-run.
-func runFusedWorkload(t *testing.T, seed int64, split bool) fusedRun {
+// in the same residency trackers, evict and write back. form says how the
+// ops are issued. The model binds fewer ranks than there are procs, so the
+// charge table also grows mid-run.
+func runFusedWorkload(t *testing.T, seed int64, form chargeForm) fusedRun {
 	t.Helper()
 	node := topo.NodeA()
 	cores := []int{0, 1, 2, 32, 33, 34, 3, 35}
@@ -53,34 +89,36 @@ func runFusedWorkload(t *testing.T, seed int64, split bool) fusedRun {
 				b, bOff := pick()
 				d, dOff := pick()
 				kind := StoreKind(rng.Intn(2))
-				switch rng.Intn(4) {
+				switch rng.Intn(5) {
 				case 0:
-					if split {
-						m.Load(p, core, a, aOff, n)
-						m.Store(p, core, d, dOff, n, kind)
-					} else {
-						m.Copy(p, core, d, dOff, a, aOff, n, kind)
-					}
+					issue(m, p, core, Op{Kind: CopyOp, Dst: d, DOff: dOff, A: a, AOff: aOff, N: n}, kind, form)
 				case 1:
-					if split {
-						m.Load(p, core, d, dOff, n)
-						m.Load(p, core, a, aOff, n)
-						m.Store(p, core, d, dOff, n, kind)
-						m.ReduceFloor(p, n)
-					} else {
-						m.Accumulate(p, core, d, dOff, a, aOff, n, kind)
-					}
+					issue(m, p, core, Op{Kind: AccumulateOp, Dst: d, DOff: dOff, A: a, AOff: aOff, N: n}, kind, form)
 				case 2:
-					if split {
-						m.Load(p, core, a, aOff, n)
-						m.Load(p, core, b, bOff, n)
-						m.Store(p, core, d, dOff, n, kind)
-						m.ReduceFloor(p, n)
-					} else {
-						m.Combine(p, core, d, dOff, a, aOff, b, bOff, n, kind)
-					}
+					issue(m, p, core, Op{Kind: CombineOp, Dst: d, DOff: dOff, A: a, AOff: aOff, B: b, BOff: bOff, N: n}, kind, form)
 				case 3:
 					m.ReduceFloor(p, n)
+				case 4:
+					srcs := make([]*Buffer, 1+rng.Intn(4))
+					for j := range srcs {
+						srcs[j] = bufs[rng.Intn(len(bufs))]
+					}
+					slice := n/int64(1+rng.Intn(6)) + rng.Int63n(3)
+					if form == formRuns {
+						m.Run(p, core, d, dOff, srcs, aOff, n, slice, kind, nil)
+						break
+					}
+					for off := int64(0); off < n; off += slice {
+						k := min(slice, n-off)
+						if len(srcs) == 1 {
+							issue(m, p, core, Op{Kind: CopyOp, Dst: d, DOff: dOff + off, A: srcs[0], AOff: aOff + off, N: k}, kind, form)
+							continue
+						}
+						issue(m, p, core, Op{Kind: CombineOp, Dst: d, DOff: dOff + off, A: srcs[0], AOff: aOff + off, B: srcs[1], BOff: aOff + off, N: k}, kind, form)
+						for _, s := range srcs[2:] {
+							issue(m, p, core, Op{Kind: AccumulateOp, Dst: d, DOff: dOff + off, A: s, AOff: aOff + off, N: k}, kind, form)
+						}
+					}
 				}
 				out.done = append(out.done, fmt.Sprintf("%d %d %x", p.ID(), op, p.Now()))
 			}
@@ -96,34 +134,46 @@ func runFusedWorkload(t *testing.T, seed int64, split bool) fusedRun {
 	for s := 0; s < node.Sockets; s++ {
 		out.occupancy = append(out.occupancy, m.CacheOccupancy(s))
 	}
+	out.resumes = e.Counts().Resumes
 	return out
 }
 
 // TestFusedOpsMatchSeparateCalls: a fused op is one charge whose
-// sub-charges the engine may run after the proc parks; issuing the same
-// sub-charges as separate single-op calls (one Advance each) must give
+// sub-charges the engine may run after the proc parks, and a run is one
+// charge of many fused ops; issuing the same sub-charges as one Fuse per
+// op, or as separate single-op calls (one Advance each), must give
 // bit-identical clocks, completion order, counters and residency.
 func TestFusedOpsMatchSeparateCalls(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		fused := runFusedWorkload(t, seed, false)
-		split := runFusedWorkload(t, seed, true)
-		for i := range split.done {
-			if fused.done[i] != split.done[i] {
-				t.Fatalf("seed %d: completion %d is %q, want %q", seed, i, fused.done[i], split.done[i])
+		split := runFusedWorkload(t, seed, formSplit)
+		resumes := map[chargeForm]uint64{}
+		for _, form := range []chargeForm{formRuns, formFused} {
+			fused := runFusedWorkload(t, seed, form)
+			resumes[form] = fused.resumes
+			for i := range split.done {
+				if fused.done[i] != split.done[i] {
+					t.Fatalf("seed %d form %d: completion %d is %q, want %q", seed, form, i, fused.done[i], split.done[i])
+				}
+			}
+			for i := range split.clocks {
+				if fused.clocks[i] != split.clocks[i] {
+					t.Fatalf("seed %d form %d: proc %d ended at %x, want %x", seed, form, i, fused.clocks[i], split.clocks[i])
+				}
+			}
+			if fused.counters != split.counters {
+				t.Fatalf("seed %d form %d: counters %+v, want %+v", seed, form, fused.counters, split.counters)
+			}
+			for s := range split.occupancy {
+				if fused.occupancy[s] != split.occupancy[s] {
+					t.Fatalf("seed %d form %d: socket %d occupancy %d, want %d", seed, form, s, fused.occupancy[s], split.occupancy[s])
+				}
+			}
+			if fused.resumes >= split.resumes {
+				t.Fatalf("seed %d form %d: %d resumes, split calls %d", seed, form, fused.resumes, split.resumes)
 			}
 		}
-		for i := range split.clocks {
-			if fused.clocks[i] != split.clocks[i] {
-				t.Fatalf("seed %d: proc %d ended at %x, want %x", seed, i, fused.clocks[i], split.clocks[i])
-			}
-		}
-		if fused.counters != split.counters {
-			t.Fatalf("seed %d: counters %+v, want %+v", seed, fused.counters, split.counters)
-		}
-		for s := range split.occupancy {
-			if fused.occupancy[s] != split.occupancy[s] {
-				t.Fatalf("seed %d: socket %d occupancy %d, want %d", seed, s, fused.occupancy[s], split.occupancy[s])
-			}
+		if resumes[formRuns] >= resumes[formFused] {
+			t.Fatalf("seed %d: runs resumed %d times, one Fuse per op %d", seed, resumes[formRuns], resumes[formFused])
 		}
 		if split.counters.WritebackBytes == 0 || split.counters.CrossSocketBytes == 0 {
 			t.Fatalf("seed %d: workload never wrote back or crossed sockets: %+v", seed, split.counters)
@@ -132,8 +182,8 @@ func TestFusedOpsMatchSeparateCalls(t *testing.T) {
 }
 
 // TestFusedOpsAllocateNothing: charge state lives in the model's per-proc
-// slots, so fused ops allocate nothing, including when the proc parks
-// between sub-charges and the engine runs the rest.
+// slots, so fused ops and runs allocate nothing, including when the proc
+// parks between sub-charges and the engine runs the rest.
 func TestFusedOpsAllocateNothing(t *testing.T) {
 	node := topo.NodeA()
 	m := New(node, []int{0, 32})
@@ -141,17 +191,22 @@ func TestFusedOpsAllocateNothing(t *testing.T) {
 	b := m.NewBuffer("b", Shared, 0, 1<<16, false)
 	c := m.NewBuffer("c", Shared, 1, 1<<16, false)
 	d := m.NewBuffer("d", Shared, 1, 1<<16, false)
+	var run [4]*Buffer
+	for i := range run {
+		run[i] = m.NewBuffer(fmt.Sprint("run", i), Shared, i%2, 1<<16, false)
+	}
 	var allocs float64
 	e := sim.NewEngine()
 	e.Spawn("measured", func(p *sim.Proc) {
 		allocs = testing.AllocsPerRun(200, func() {
-			m.Accumulate(p, 0, a, 0, b, 0, 4096, Temporal)
-			m.Combine(p, 0, a, 0, a, 0, b, 0, 4096, Temporal)
+			m.Fuse(p, 0, Op{Kind: AccumulateOp, Dst: a, A: b, N: 4096}, Temporal, nil)
+			m.Fuse(p, 0, Op{Kind: CombineOp, Dst: a, A: a, B: b, N: 4096}, Temporal, nil)
+			m.Run(p, 0, run[0], 0, run[1:], 0, 4096, 1024, Temporal, nil)
 		})
 	})
 	e.Spawn("peer", func(p *sim.Proc) {
 		for i := 0; i < 2000; i++ {
-			m.Copy(p, 32, d, 0, c, 0, 4096, Temporal)
+			m.Fuse(p, 32, Op{Kind: CopyOp, Dst: d, A: c, N: 4096}, Temporal, nil)
 		}
 	})
 	if err := e.Run(); err != nil {

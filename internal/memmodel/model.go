@@ -299,61 +299,102 @@ func (m *Model) Store(p *sim.Proc, core int, b *Buffer, off, n int64, kind Store
 	m.advance(p, &s, m.store(m.coreSocket[core], m.coreSlot[core], b, off, n, s.op))
 }
 
-// Copy charges the load+store pair of copying n elements from src[sOff] to
-// dst[dOff]: the fused per-chunk charge behind Rank.CopyElems.
+// OpKind says which fused op an Op is.
+type OpKind uint8
+
+const (
+	// CopyOp is Dst = A: a load of A and a store of Dst.
+	CopyOp OpKind = iota
+	// AccumulateOp is Dst op= A: loads of Dst and A, the store of Dst and
+	// the arithmetic floor, in that order.
+	AccumulateOp
+	// CombineOp is Dst = A op B: loads of A and B, the store of Dst and the
+	// arithmetic floor, in that order.
+	CombineOp
+)
+
+// Op is one fused memory op over N elements: its kind and its operands at
+// their element offsets (B is used by CombineOp only).
+type Op struct {
+	Kind OpKind
+	Dst  *Buffer
+	DOff int64
+	A    *Buffer
+	AOff int64
+	B    *Buffer
+	BOff int64
+	N    int64
+}
+
+// Work is the data side of fused ops. The model calls Do(op) when op's
+// first sub-charge runs, which is where a rank issuing op alone would do
+// op's data work. That may be in the engine loop while the proc is parked
+// inside a run, so Do is bound by sim.Charge's rules for Next.
+type Work interface {
+	Do(op *Op)
+}
+
+// Fuse charges op, one fused op, to p, the rank on core, as one
+// sim.Charge, calling w.Do(op) (when w is not nil) just before its first
+// sub-charge. The kind and every range are checked here, on p's stack,
+// before any sub-charge runs.
 //
-// Determinism: the sub-charges are the ones separate Load and Store calls
-// would make, each updating residency and counters and then advancing the
-// clock with the same float operations in the same order. Between them p
-// may park (one sim.Charge is exactly one Advance per sub-charge in
-// schedule), and other ranks then update the same per-socket tracker
-// before the next sub-charge reads it. The engine runs that next
-// sub-charge itself when it pops p — the moment the resumed rank would
-// have run it — so charged times, counters and residency decisions are
-// bit-identical to one Advance per sub-charge. Every range is checked here,
-// on p's stack, before any sub-charge runs.
-func (m *Model) Copy(p *sim.Proc, core int, dst *Buffer, dOff int64, src *Buffer, sOff, n int64, kind StoreKind) {
-	src.CheckRange(sOff, n)
-	dst.CheckRange(dOff, n)
-	c := m.begin(p, core, n)
-	c.add(opLoad, src, sOff)
-	c.add(storeOp(kind), dst, dOff)
-	m.run(p, c)
+// Determinism: the sub-charges are the ones separate Load, Store and
+// ReduceFloor calls would make, each updating residency and counters and
+// then advancing the clock with the same float operations in the same
+// order. Between them p may park (one sim.Charge is exactly one Advance
+// per sub-charge in schedule), and other ranks then update the same
+// per-socket tracker before the next sub-charge reads it. The engine runs
+// that next sub-charge itself when it pops p — the moment the resumed rank
+// would have run it — so charged times, counters and residency decisions
+// are bit-identical to one Advance per sub-charge. The same holds across
+// the ops of a Run, and for the data work w does at each op's first
+// sub-charge: it runs at the point of the schedule where the rank would
+// have run it before issuing the op alone.
+func (m *Model) Fuse(p *sim.Proc, core int, op Op, kind StoreKind, w Work) {
+	if op.Kind > CombineOp {
+		panic(fmt.Sprintf("memmodel: unknown op kind %d", op.Kind))
+	}
+	op.Dst.CheckRange(op.DOff, op.N)
+	op.A.CheckRange(op.AOff, op.N)
+	if op.Kind == CombineOp {
+		op.B.CheckRange(op.BOff, op.N)
+	}
+	c := m.begin(p, core, kind, w)
+	c.tmpl, c.n, c.slice = op, op.N, op.N
+	m.drive(p, c)
 }
 
-// Accumulate charges dst[dOff..] op= src[sOff..] over n elements: loads of
-// dst and src, the store of dst and the arithmetic floor, in that order, as
-// one charge (see Copy for the determinism argument).
-func (m *Model) Accumulate(p *sim.Proc, core int, dst *Buffer, dOff int64, src *Buffer, sOff, n int64, kind StoreKind) {
+// Run charges a run of fused ops to p, the rank on core, as one
+// sim.Charge: srcs (all at element offset sOff) folded into dst at dOff,
+// over n elements, in slices of at most slice elements. Each slice is a
+// CopyOp of srcs[0] when there is one source, and otherwise a CombineOp of
+// srcs[0] and srcs[1] followed by an AccumulateOp of each further source.
+// w.Do (when w is not nil) runs at each op's first sub-charge, as in Fuse,
+// whose determinism argument covers every op of the run. Every range is
+// checked here, before any sub-charge runs.
+func (m *Model) Run(p *sim.Proc, core int, dst *Buffer, dOff int64, srcs []*Buffer, sOff, n, slice int64, kind StoreKind, w Work) {
+	if len(srcs) == 0 || slice <= 0 {
+		panic(fmt.Sprintf("memmodel: run into %q of %d sources in slices of %d", dst.Name, len(srcs), slice))
+	}
 	dst.CheckRange(dOff, n)
-	src.CheckRange(sOff, n)
-	c := m.begin(p, core, n)
-	c.add(opLoad, dst, dOff)
-	c.add(opLoad, src, sOff)
-	c.add(storeOp(kind), dst, dOff)
-	c.add(opFloor, nil, 0)
-	m.run(p, c)
-}
-
-// Combine charges out[oOff..] = op(a[aOff..], b[bOff..]) over n elements:
-// loads of a and b, the store of out and the arithmetic floor, in that
-// order, as one charge (see Copy for the determinism argument).
-func (m *Model) Combine(p *sim.Proc, core int, out *Buffer, oOff int64, a *Buffer, aOff int64, b *Buffer, bOff, n int64, kind StoreKind) {
-	a.CheckRange(aOff, n)
-	b.CheckRange(bOff, n)
-	out.CheckRange(oOff, n)
-	c := m.begin(p, core, n)
-	c.add(opLoad, a, aOff)
-	c.add(opLoad, b, bOff)
-	c.add(storeOp(kind), out, oOff)
-	c.add(opFloor, nil, 0)
-	m.run(p, c)
+	for _, src := range srcs {
+		src.CheckRange(sOff, n)
+	}
+	c := m.begin(p, core, kind, w)
+	c.tmpl = Op{Kind: CopyOp, Dst: dst, DOff: dOff, A: srcs[0], AOff: sOff}
+	if len(srcs) > 1 {
+		c.tmpl.Kind, c.tmpl.B, c.tmpl.BOff = CombineOp, srcs[1], sOff
+		c.folds = append(c.folds, srcs[2:]...)
+	}
+	c.n, c.slice = n, slice
+	m.drive(p, c)
 }
 
 // CountCopyVolume adds 2*n elements worth of bytes to the copy-volume
 // counter V (one load plus one store per copied byte, paper §2.1). The
-// caller invokes it alongside the Load/Store pair of a private<->shared
-// copy.
+// Work of a private<->shared CopyOp invokes it at the op's first
+// sub-charge.
 func (m *Model) CountCopyVolume(n int64) {
 	m.counters.CopyVolume += 2 * n * ElemSize
 }
@@ -387,21 +428,33 @@ func storeOp(kind StoreKind) stepOp {
 	panic(fmt.Sprintf("memmodel: unknown store kind %d", kind))
 }
 
-// subCharge is one sub-charge of a charge: op over the charge's element
-// count at offset off of b (b is nil for the floor).
+// subCharge is one sub-charge of a charge: op over the current op's
+// element count at offset off of b (b is nil for the floor).
 type subCharge struct {
 	op  stepOp
 	b   *Buffer
 	off int64
 }
 
-// charge is one memory op as a sim.Charge: its sub-charges in order, all
-// over the same element count, with the acting core's socket and cursor
-// bank resolved once when the op begins.
+// charge is a run of fused ops as one sim.Charge, with the acting core's
+// socket and cursor bank resolved once when the run begins. The run is n
+// elements in slices of at most slice: each slice is the template op
+// shifted to the slice and cut to its length, then an AccumulateOp of each
+// fold source into the slice's destination. A single op is a run of one
+// slice with no fold sources.
 type charge struct {
 	m            *Model
 	socket, slot int
-	n            int64
+	store        stepOp
+	work         Work
+
+	tmpl     Op        // the first op of every slice, at offset 0 of the run
+	folds    []*Buffer // sources accumulated into each slice after tmpl
+	n, slice int64
+	at       int64 // offset of the current op's slice in the run
+	fold     int   // ops of the current slice started so far
+
+	op           Op // the current op
 	steps        [4]subCharge
 	nsteps, next int
 }
@@ -411,25 +464,72 @@ func (c *charge) add(op stepOp, b *Buffer, off int64) {
 	c.nsteps++
 }
 
-// Next runs the next sub-charge (sim.Charge).
+// Next runs the next sub-charge (sim.Charge), first starting the run's
+// next op when the current one has run its last.
 func (c *charge) Next(*sim.Proc) (float64, bool) {
+	if c.next == c.nsteps {
+		c.startOp()
+	}
 	s := &c.steps[c.next]
 	c.next++
-	return c.m.step(c.socket, c.slot, s, c.n), c.next == c.nsteps
+	dt := c.m.step(c.socket, c.slot, s, c.op.N)
+	return dt, c.next == c.nsteps && c.fold > len(c.folds) && c.at+c.op.N == c.n
 }
 
-// begin returns p's charge slot, reset for an op over n elements by the
-// rank on core. A proc runs at most one charge at a time — it is either
-// starting one on its own stack or parked inside one — so a slot per proc
-// ID is never reused while the engine may still run its sub-charges.
-func (m *Model) begin(p *sim.Proc, core int, n int64) *charge {
+// startOp makes the run's next op current: it lays out the op's
+// sub-charges and hands the op to the work hook.
+func (c *charge) startOp() {
+	if c.fold > len(c.folds) {
+		c.at += c.op.N
+		c.fold = 0
+	}
+	if c.fold == 0 {
+		c.op = c.tmpl
+		c.op.N = min(c.slice, c.n-c.at)
+		c.op.DOff += c.at
+		c.op.AOff += c.at
+		c.op.BOff += c.at
+	} else {
+		c.op.Kind, c.op.A, c.op.AOff = AccumulateOp, c.folds[c.fold-1], c.tmpl.AOff+c.at
+	}
+	c.fold++
+	op := &c.op
+	c.nsteps, c.next = 0, 0
+	switch op.Kind {
+	case CopyOp:
+		c.add(opLoad, op.A, op.AOff)
+	case AccumulateOp:
+		c.add(opLoad, op.Dst, op.DOff)
+		c.add(opLoad, op.A, op.AOff)
+	case CombineOp:
+		c.add(opLoad, op.A, op.AOff)
+		c.add(opLoad, op.B, op.BOff)
+	}
+	c.add(c.store, op.Dst, op.DOff)
+	if op.Kind != CopyOp {
+		c.add(opFloor, nil, 0)
+	}
+	if c.work != nil {
+		c.work.Do(op)
+	}
+}
+
+// begin returns p's charge slot, reset for a run by the rank on core with
+// the given store kind and work hook. A proc runs at most one charge at a
+// time — it is either starting one on its own stack or parked inside one —
+// so a slot per proc ID is never reused while the engine may still run its
+// sub-charges.
+func (m *Model) begin(p *sim.Proc, core int, kind StoreKind, w Work) *charge {
+	store := storeOp(kind)
 	id := p.ID()
 	if id >= len(m.charges) {
 		m.growCharges(id + 1)
 	}
 	c := &m.charges[id]
 	c.socket, c.slot = m.coreSocket[core], m.coreSlot[core]
-	c.n, c.nsteps, c.next = n, 0, 0
+	c.store, c.work = store, w
+	c.folds = c.folds[:0]
+	c.at, c.fold, c.nsteps, c.next = 0, 0, 0, 0
 	return c
 }
 
@@ -452,18 +552,17 @@ func (m *Model) growCharges(n int) {
 	m.charges = grown
 }
 
-// run charges c to p as one sim.Charge. With a tracer attached, every
+// drive charges c to p as one sim.Charge. With a tracer attached, every
 // sub-charge instead goes through advance on p's own stack, so spans keep
 // the order in which ranks' sub-charges complete.
-func (m *Model) run(p *sim.Proc, c *charge) {
+func (m *Model) drive(p *sim.Proc, c *charge) {
 	if m.tracer == nil {
 		p.Charge(c)
 		return
 	}
 	for {
-		s := &c.steps[c.next]
 		dt, last := c.Next(p)
-		m.advance(p, s, dt)
+		m.advance(p, &c.steps[c.next-1], dt)
 		if last {
 			return
 		}

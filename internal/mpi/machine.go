@@ -53,6 +53,8 @@ type Machine struct {
 	// lastClocks holds each rank's final virtual clock from the most recent
 	// successful Run, in rank order.
 	lastClocks []float64
+	// runCounts holds the engine counters of the most recent Run.
+	runCounts sim.Counts
 
 	// external[s] is the number of co-tenant ranks (other jobs) sharing
 	// socket s's bandwidth and LLC (see memmodel.NewShared). Preserved
@@ -313,6 +315,10 @@ func (m *Machine) RankClocks() []float64 {
 	return append([]float64(nil), m.lastClocks...)
 }
 
+// RunCounts returns the engine's work counters (run-queue pops and
+// coroutine resumes) of the most recent Run, failed or not.
+func (m *Machine) RunCounts() sim.Counts { return m.runCounts }
+
 // SetTuning attaches tuned-plan dispatch state (a *coll.Planner) to the
 // machine. Called once at machine creation — never per collective call.
 func (m *Machine) SetTuning(t any) { m.tuned = t }
@@ -383,6 +389,7 @@ func (m *Machine) Injector() *fault.Injector { return m.inject }
 // panic escape unattributed.
 func (m *Machine) Run(body func(r *Rank)) (makespan float64, err error) {
 	e := sim.NewEngine()
+	defer func() { m.runCounts = e.Counts() }()
 	switch {
 	case m.Watchdog > 0:
 		e.SetWatchdog(m.Watchdog)

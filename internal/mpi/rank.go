@@ -15,6 +15,7 @@ type Rank struct {
 	proc    *sim.Proc
 	machine *Machine
 	id      int
+	op      Op // the reduction of the rank's current op or run
 }
 
 // ID returns the global rank id.
@@ -120,55 +121,84 @@ func (r *Rank) Store(b *memmodel.Buffer, off, n int64, kind memmodel.StoreKind) 
 // in Real mode. Copies that cross the private/shared boundary count toward
 // the paper's copy volume V.
 func (r *Rank) CopyElems(dst *memmodel.Buffer, dOff int64, src *memmodel.Buffer, sOff, n int64, kind memmodel.StoreKind) {
-	if n == 0 {
-		return
-	}
-	dst.CheckRange(dOff, n)
-	src.CheckRange(sOff, n)
-	if dst.Real() && src.Real() {
-		copy(dst.Slice(dOff, n), src.Slice(sOff, n))
-		r.corrupt(dst, dOff, n)
-	}
-	m := r.machine.Model
-	m.Copy(r.proc, r.Core(), dst, dOff, src, sOff, n, kind)
-	if dst.Space != src.Space {
-		m.CountCopyVolume(n)
-	}
+	r.fuse(memmodel.Op{Kind: memmodel.CopyOp, Dst: dst, DOff: dOff, A: src, AOff: sOff, N: n}, kind)
 }
 
 // AccumulateElems performs dst[dOff..] = op(dst[dOff..], src[sOff..]) over
 // n elements (the paper's A += B): two loads plus one store plus the
 // arithmetic floor.
 func (r *Rank) AccumulateElems(dst *memmodel.Buffer, dOff int64, src *memmodel.Buffer, sOff, n int64, op Op, kind memmodel.StoreKind) {
-	if n == 0 {
-		return
-	}
-	dst.CheckRange(dOff, n)
-	src.CheckRange(sOff, n)
-	if dst.Real() && src.Real() {
-		op.Apply(dst.Slice(dOff, n), src.Slice(sOff, n))
-		r.corrupt(dst, dOff, n)
-	}
-	m := r.machine.Model
-	m.Accumulate(r.proc, r.Core(), dst, dOff, src, sOff, n, kind)
+	r.op = op
+	r.fuse(memmodel.Op{Kind: memmodel.AccumulateOp, Dst: dst, DOff: dOff, A: src, AOff: sOff, N: n}, kind)
 }
 
 // CombineElems performs out[oOff..] = op(a[aOff..], b[bOff..]) over n
 // elements (the paper's C = A + B): two loads plus one store plus the
 // arithmetic floor.
 func (r *Rank) CombineElems(out *memmodel.Buffer, oOff int64, a *memmodel.Buffer, aOff int64, b *memmodel.Buffer, bOff, n int64, op Op, kind memmodel.StoreKind) {
+	r.op = op
+	r.fuse(memmodel.Op{Kind: memmodel.CombineOp, Dst: out, DOff: oOff, A: a, AOff: aOff, B: b, BOff: bOff, N: n}, kind)
+}
+
+// CopyRun copies n elements from src[sOff] to dst[dOff] as a run of
+// CopyElems ops of at most slice elements each, in order. The run is
+// charged as one sim.Charge, so the rank's coroutine resumes once for the
+// whole run instead of once per op; the schedule, clocks, counters and
+// data are those of the per-op loop. All ranges are checked before the
+// first op.
+func (r *Rank) CopyRun(dst *memmodel.Buffer, dOff int64, src *memmodel.Buffer, sOff, n, slice int64, kind memmodel.StoreKind) {
+	r.ReduceRun(dst, dOff, []*memmodel.Buffer{src}, sOff, n, slice, Op{}, kind)
+}
+
+// ReduceRun folds srcs[sOff..] into dst[dOff..] over n elements, slice by
+// slice (at most slice elements each): per slice, CombineElems of srcs[0]
+// and srcs[1], then AccumulateElems of each further source; with one
+// source, CopyElems. It is charged as one run, like CopyRun.
+func (r *Rank) ReduceRun(dst *memmodel.Buffer, dOff int64, srcs []*memmodel.Buffer, sOff, n, slice int64, op Op, kind memmodel.StoreKind) {
 	if n == 0 {
 		return
 	}
-	out.CheckRange(oOff, n)
-	a.CheckRange(aOff, n)
-	b.CheckRange(bOff, n)
-	if out.Real() && a.Real() && b.Real() {
-		op.Combine(out.Slice(oOff, n), a.Slice(aOff, n), b.Slice(bOff, n))
-		r.corrupt(out, oOff, n)
+	r.op = op
+	r.machine.Model.Run(r.proc, r.Core(), dst, dOff, srcs, sOff, n, slice, kind, (*opBody)(r))
+}
+
+// fuse charges the single op o.
+func (r *Rank) fuse(o memmodel.Op, kind memmodel.StoreKind) {
+	if o.N == 0 {
+		return
 	}
-	m := r.machine.Model
-	m.Combine(r.proc, r.Core(), out, oOff, a, aOff, b, bOff, n, kind)
+	r.machine.Model.Fuse(r.proc, r.Core(), o, kind, (*opBody)(r))
+}
+
+// opBody is a rank as the memmodel.Work of its ops: the real-data work, the
+// fault write hook and the copy-volume count of one op, run when the op's
+// first sub-charge runs. Reductions use the rank's current op.
+type opBody Rank
+
+// Do implements memmodel.Work.
+func (b *opBody) Do(o *memmodel.Op) {
+	r := (*Rank)(b)
+	real := o.Dst.Real() && o.A.Real()
+	switch o.Kind {
+	case memmodel.CopyOp:
+		if real {
+			copy(o.Dst.Slice(o.DOff, o.N), o.A.Slice(o.AOff, o.N))
+		}
+		if o.Dst.Space != o.A.Space {
+			r.machine.Model.CountCopyVolume(o.N)
+		}
+	case memmodel.AccumulateOp:
+		if real {
+			r.op.Apply(o.Dst.Slice(o.DOff, o.N), o.A.Slice(o.AOff, o.N))
+		}
+	case memmodel.CombineOp:
+		if real = real && o.B.Real(); real {
+			r.op.Combine(o.Dst.Slice(o.DOff, o.N), o.A.Slice(o.AOff, o.N), o.B.Slice(o.BOff, o.N))
+		}
+	}
+	if real {
+		r.corrupt(o.Dst, o.DOff, o.N)
+	}
 }
 
 // FillPattern writes a deterministic test pattern into a real buffer

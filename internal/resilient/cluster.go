@@ -361,6 +361,18 @@ func (st *membership) eligibleLinkHeals() []int {
 	return out
 }
 
+// rejected classes an error that stopped a run before it started. A plan
+// rejected for its shape or for a fault out of range — by Validate, or by
+// RunArmed when it maps the plan onto the program (a corruption of a node
+// that runs no step) — is diagnosed by construction: Unrecoverable, with
+// the typed error. Any other such error is Undiagnosed.
+func rejected(err error) Outcome {
+	if errors.Is(err, fault.ErrPlanShape) || errors.Is(err, fault.ErrPlanRange) {
+		return Unrecoverable
+	}
+	return Undiagnosed
+}
+
 // SuperviseCluster runs the compiled job under the plan until it completes
 // (possibly on a recompiled, rerouted or re-grown schedule) or the policy
 // is exhausted. With a nil/empty plan it is pass-through: one run, no
@@ -379,7 +391,7 @@ func SuperviseCluster(c *cluster.Cluster, job ClusterJob, plan *fault.ClusterPla
 	rep := ClusterReport{Job: job, Shape: shape, FinalAlg: job.Alg, FinalNodes: c.Nodes,
 		FinalEpoch: c.Epoch}
 	if err := plan.Validate(shape); err != nil {
-		rep.Outcome, rep.Err = Undiagnosed, err
+		rep.Outcome, rep.Err = rejected(err), err
 		return rep
 	}
 	if pol.MaxAttempts <= 0 {
@@ -508,7 +520,7 @@ func SuperviseCluster(c *cluster.Cluster, job ClusterJob, plan *fault.ClusterPla
 
 		var cerr *cluster.ClusterRunError
 		if !errors.As(rerr, &cerr) {
-			rep.Outcome, rep.Err = Undiagnosed, rerr
+			rep.Outcome, rep.Err = rejected(rerr), rerr
 			return rep
 		}
 

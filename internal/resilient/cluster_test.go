@@ -175,15 +175,16 @@ func TestSuperviseClusterUnrecoverable(t *testing.T) {
 }
 
 // A corruption that can never fire (the root node of an N x 1 bcast runs no
-// step) is reported like a plan that fails Validate: undiagnosed, with the
-// fault.ErrPlanRange error naming the node.
+// step) is reported like a plan that fails Validate: diagnosed by
+// construction, so unrecoverable, with the fault.ErrPlanRange error naming
+// the node.
 func TestSuperviseClusterRejectsIdleCorruption(t *testing.T) {
 	c := cluster.New(topo.NodeA(), 4, 1, cluster.IB100())
 	job := ClusterJob{Coll: cluster.CollBcast, Alg: cluster.LeaderTree, Elems: 1 << 12}
 	plan := &fault.ClusterPlan{Name: "idle-root", Corruptions: []fault.PhaseCorrupt{{Node: 0, Phase: 1}}}
 	rep := SuperviseCluster(c, job, plan, DefaultClusterPolicy())
-	if rep.Outcome != Undiagnosed {
-		t.Fatalf("outcome %s, want %s", rep.Outcome, Undiagnosed)
+	if rep.Outcome != Unrecoverable {
+		t.Fatalf("outcome %s, want %s", rep.Outcome, Unrecoverable)
 	}
 	if !errors.Is(rep.Err, fault.ErrPlanRange) || !strings.Contains(rep.Err.Error(), "node 0") {
 		t.Fatalf("error %v does not wrap fault.ErrPlanRange naming node 0", rep.Err)

@@ -117,6 +117,24 @@ func randCharge(rng *rand.Rand) progOp {
 	return op
 }
 
+// withRuns inserts into each proc's op list, at a random position, a charge
+// as long as a run of 2-100 fused ops (up to 400 sub-charges), as memmodel
+// charges a run. It draws from its own rng, so the program's other ops are
+// genChargeProgram's.
+func withRuns(pr chargeProgram, rng *rand.Rand) chargeProgram {
+	for i, ops := range pr.ops {
+		run := progOp{kind: opCharge}
+		for k := 2 + rng.Intn(99); k > 0; k-- {
+			op := randCharge(rng)
+			run.durs = append(run.durs, op.durs...)
+			run.stateful = append(run.stateful, op.stateful...)
+		}
+		at := rng.Intn(len(ops) + 1)
+		pr.ops[i] = append(ops[:at:at], append([]progOp{run}, ops[at:]...)...)
+	}
+	return pr
+}
+
 // genChargeProgram builds a deadlock-free program of 2-64 procs in rounds:
 // random charges and advances, then each proc sets its own flag, may wait
 // on its neighbour's (set before any wait of that round) or sleep to a time
@@ -188,6 +206,7 @@ type chargeRun struct {
 	log    chargeLog
 	clocks []float64
 	err    error
+	counts Counts
 }
 
 // run executes the program with each charge driven by drive.
@@ -237,6 +256,7 @@ func (pr chargeProgram) run(drive func(p *Proc, c Charge)) chargeRun {
 		procs[pr.straggler].SetSlowdown(1.5)
 	}
 	out.err = e.Run()
+	out.counts = e.Counts()
 	for _, p := range procs {
 		out.clocks = append(out.clocks, p.clock)
 	}
@@ -261,23 +281,34 @@ func diffRuns(got, want chargeRun) string {
 	if !reflect.DeepEqual(got.err, want.err) {
 		return fmt.Sprintf("error %v, want %v", got.err, want.err)
 	}
+	if got.counts.Pops != want.counts.Pops || got.counts.Resumes > want.counts.Resumes {
+		return fmt.Sprintf("counts %+v, want %d pops and at most %d resumes", got.counts, want.counts.Pops, want.counts.Resumes)
+	}
 	return ""
 }
 
 // TestChargeMatchesPerStepAdvance runs seeded random programs twice: with
 // each fused op as one Charge (continuations) and as one Advance per
 // sub-charge. Every executed sub-charge and op, in order and with its
-// clock, and every final clock must match bit for bit.
+// clock, every final clock and the run-queue pop count must match bit for
+// bit, with no more coroutine resumes. Odd seeds add a charge of a whole
+// run of ops to every proc.
 func TestChargeMatchesPerStepAdvance(t *testing.T) {
 	seeds := 300
 	if testing.Short() {
 		seeds = 60
 	}
 	engineSteps := 0
+	var resumes, perStepResumes uint64
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		pr := genChargeProgram(seed)
+		if seed%2 == 1 {
+			pr = withRuns(pr, rand.New(rand.NewSource(-seed)))
+		}
 		got := pr.run((*Proc).Charge)
 		want := pr.run(runPerStep)
+		resumes += got.counts.Resumes
+		perStepResumes += want.counts.Resumes
 		if got.err != nil {
 			t.Fatalf("seed %d: %v", seed, got.err)
 		}
@@ -289,8 +320,9 @@ func TestChargeMatchesPerStepAdvance(t *testing.T) {
 		}
 		engineSteps += got.log.engineSteps
 	}
-	if engineSteps == 0 {
-		t.Fatal("no program parked inside a charge: the continuation path went untested")
+	if engineSteps == 0 || resumes >= perStepResumes {
+		t.Fatalf("%d sub-charges ran in the engine loop and %d resumes were made (%d per step): the continuation path went untested",
+			engineSteps, resumes, perStepResumes)
 	}
 }
 

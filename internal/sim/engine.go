@@ -17,9 +17,10 @@
 // channel handoff (which must park, lock a run queue, and re-ready the
 // goroutine, checking timers along the way). A process that is still the
 // earliest runnable one skips parking entirely and keeps executing with zero
-// switches. A fused operation of several sub-charges (Proc.Charge) resumes
-// its coroutine at most once: after the proc parks inside it, the loop runs
-// each remaining sub-charge itself when the proc reaches the front.
+// switches. A fused operation of several sub-charges (Proc.Charge), or a
+// run of such operations, resumes its coroutine at most once: after the
+// proc parks inside it, the loop runs each remaining sub-charge itself when
+// the proc reaches the front.
 //
 // The runnable procs wait in a tournament tree ordered by (clock, seq), with
 // one leaf per proc. Parking or unparking a proc replays its leaf's path to
@@ -248,12 +249,14 @@ func (p *Proc) invalidTime(what string, t float64) {
 
 // Charge is an operation made of an ordered list of sub-charges, each of
 // which updates shared model state and then takes virtual time (a fused
-// memory op: load, store, arithmetic floor). Next performs the next
-// sub-charge and returns its duration; last reports that it was the final
-// one. The engine may call Next from its own loop while the proc is parked,
-// so Next must not block, sync, touch another proc or Advance, and must not
-// panic on anything that could have been validated before the charge
-// began.
+// memory op: load, store, arithmetic floor). A charge may span many such
+// ops — a run of them with no synchronization in between — and then also
+// does each op's own work as the op's first sub-charge runs. Next performs
+// the next sub-charge and returns its duration; last reports that it was
+// the final one. The engine may call Next from its own loop while the proc
+// is parked, so Next must not block, sync, touch another proc or Advance,
+// and must not panic on anything that could have been validated before the
+// charge began.
 type Charge interface {
 	Next(p *Proc) (dt float64, last bool)
 }
@@ -424,7 +427,24 @@ type Engine struct {
 	watchdog     int
 	idleSwitches int
 	lastMin      float64
+
+	counts Counts
 }
+
+// Counts are an engine's work counters. Each is one increment on a path
+// the scheduling loop takes anyway, so counting costs nothing measurable
+// and changes no schedule.
+type Counts struct {
+	// Pops is the number of times the loop took the front of the run
+	// queue: to resume its coroutine or to run its charge's next
+	// sub-charges.
+	Pops uint64
+	// Resumes is the number of times the loop resumed a proc's coroutine.
+	Resumes uint64
+}
+
+// Counts returns the engine's work counters so far.
+func (e *Engine) Counts() Counts { return e.counts }
 
 // NewEngine returns an empty engine.
 func NewEngine() *Engine {
@@ -568,6 +588,7 @@ func (e *Engine) Run() error {
 				return err
 			}
 		}
+		e.counts.Pops++
 		p := e.procs[leaf]
 		p.state = Running
 		if p.cont != nil {
@@ -580,6 +601,7 @@ func (e *Engine) Run() error {
 		} else {
 			e.dequeue(p)
 		}
+		e.counts.Resumes++
 		if _, alive := p.next(); !alive {
 			p.state = Done
 			e.finished++

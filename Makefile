@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: build test test-race race race-fast vet chaos-recover chaos-cluster chaos-churn scale engine-compare ci bench bench-baseline bench-compare tune tune-full plan-verify serve serve-overload examples results
+.PHONY: build test test-race race race-fast vet fuzz chaos-recover chaos-cluster chaos-churn scale engine-compare ci bench bench-baseline bench-compare tune tune-full plan-verify serve serve-overload examples results
 
 # Single CI entrypoint: vet, the full test suite (incl. the fast race pass
-# and the benchmark module's tests), the fault-injection gates (supervised
-# rank-level sweep, cluster-scale, and membership churn), the cluster-scale smoke gate, the tuned-plan pipeline
+# and the benchmark module's tests), a short run of every fuzz target, the
+# fault-injection gates (supervised rank-level sweep, cluster-scale, and
+# membership churn), the cluster-scale smoke gate, the tuned-plan pipeline
 # (quick-budget synthesis + the beats-or-matches gate), the
 # multi-tenant serving gates (steady-state sweep and the bounded-queue
 # overload point), every example, then the simulated-results ledger.
-ci: test chaos-recover chaos-cluster chaos-churn scale tune plan-verify serve serve-overload examples results
+ci: test fuzz chaos-recover chaos-cluster chaos-churn scale tune plan-verify serve serve-overload examples results
 
 build:
 	$(GO) build ./...
@@ -33,6 +34,15 @@ test-race:
 
 # Backwards-compatible alias for test-race.
 race: test-race
+
+# Fuzz each target for 10 s (go test runs only their seed corpora). A
+# failing input is saved under the target package's testdata/fuzz/, where
+# go test then replays it as a seed.
+fuzz:
+	@set -e; for t in .:FuzzExec internal/plan:FuzzPlanLoad internal/cluster:FuzzClusterPlan \
+		internal/resilient:FuzzRankPlan internal/memmodel:FuzzCacheState internal/memmodel:FuzzBufferRanges; do \
+		echo "fuzz $${t#*:}"; $(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 10s ./$${t%%:*}; \
+	done
 
 # vet also fails on any Go file gofmt would change, listing the files.
 vet:

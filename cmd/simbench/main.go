@@ -182,8 +182,8 @@ func modelLoad(b *testing.B) {
 // NodeA with 64 ranks: every rank streams runs of fused copies and
 // reductions through the shared residency trackers, so the coroutine
 // engine's per-sub-charge scheduling dominates, as in the paper's 64 MB
-// baseline. It reports the engine's run-queue pops and coroutine resumes
-// per all-reduce.
+// baseline. It reports the engine's run-queue pops and coroutine resumes,
+// and the residency trackers' evictions and index seeks, per all-reduce.
 func coroutineDPML(b *testing.B) {
 	const n = int64(8<<20) / memmodel.ElemSize
 	m := mpi.NewMachine(topo.NodeA(), 64, false)
@@ -194,14 +194,18 @@ func coroutineDPML(b *testing.B) {
 		coll.AllreduceDPML(r, r.World(), sb, rb, n, mpi.Sum, coll.Options{})
 	}
 	m.MustRun(body) // warm-up: buffers, shared segments, residency
+	before := m.Model.TrackerCounts()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
 		m.MustRun(body)
 	}
 	counts := m.RunCounts()
+	tracked := m.Model.TrackerCounts().Sub(before)
 	b.ReportMetric(float64(counts.Pops), "pops/op")
 	b.ReportMetric(float64(counts.Resumes), "resumes/op")
+	b.ReportMetric(float64(tracked.Evictions)/float64(b.N), "evictions/op")
+	b.ReportMetric(float64(tracked.Seeks)/float64(b.N), "seeks/op")
 }
 
 // eventPostPop drives the event calendar's push/pop hot path at a rolling

@@ -175,12 +175,17 @@ func TestMABeatsBaselinesOnLargeMessages(t *testing.T) {
 	}
 }
 
-// TestDPMLRunCounts pins the engine work of one warm 4 MB DPML all-reduce
-// on NodeA with 64 ranks. Its copy-in, block reduction and copy-out are
-// runs of fused ops, each charged as one sim.Charge: the run-queue pops
-// are exactly those of one park per sub-charge (the schedule did not
-// change), while each rank's coroutine resumes a handful of times instead
-// of once per op (97,977 resumes when every op was its own charge).
+// TestDPMLRunCounts pins the engine and residency-tracker work of one warm
+// 4 MB DPML all-reduce on NodeA with 64 ranks. Its copy-in, block
+// reduction and copy-out are runs of fused ops, each charged as one
+// sim.Charge: the run-queue pops are exactly those of one park per
+// sub-charge (the schedule did not change), while each rank's coroutine
+// resumes a handful of times instead of once per op (97,977 resumes when
+// every op was its own charge). The evictions, and those that had to
+// binary-search their buffer's index, are the residency tracker's
+// decisions, which a change to how it stores regions must keep. Each load
+// or store positions its buffer's index once, so there is at most one
+// seek per pop.
 func TestDPMLRunCounts(t *testing.T) {
 	const p = 64
 	const n = int64(4<<20) / memmodel.ElemSize
@@ -193,12 +198,20 @@ func TestDPMLRunCounts(t *testing.T) {
 		AllreduceDPML(r, r.World(), sb, rb, n, mpi.Sum, Options{})
 	}
 	m.MustRun(body)
+	before := m.Model.TrackerCounts()
 	m.MustRun(body)
 	got := m.RunCounts()
+	tc := m.Model.TrackerCounts().Sub(before)
 	if got.Pops != 260182 {
 		t.Errorf("%d run-queue pops, want 260182", got.Pops)
 	}
 	if got.Resumes > 8*p {
 		t.Errorf("%d coroutine resumes, want at most %d (8 per rank)", got.Resumes, 8*p)
+	}
+	if tc.Evictions != 114182 || tc.SearchedEvictions != 41926 {
+		t.Errorf("%d evictions, %d of them searched; want 114182 and 41926", tc.Evictions, tc.SearchedEvictions)
+	}
+	if tc.Seeks > int64(got.Pops) {
+		t.Errorf("%d index seeks for %d run-queue pops, want at most one per pop", tc.Seeks, got.Pops)
 	}
 }

@@ -50,7 +50,8 @@ func BenchmarkResidencyLookup(b *testing.B) {
 	var sum int64
 	for i := 0; i < b.N; i++ {
 		r := int64(i % regions)
-		sum += c.lookup(1, r*4097, r*4097+8192)
+		cached, _ := c.lookup(1, r*4097, r*4097+8192)
+		sum += cached
 	}
 	_ = sum
 }

@@ -9,7 +9,7 @@ import (
 
 func TestCacheLookupEmpty(t *testing.T) {
 	c := newCacheState(0, 1024)
-	if got := c.lookup(1, 0, 100); got != 0 {
+	if got, _ := c.lookup(1, 0, 100); got != 0 {
 		t.Fatalf("lookup on empty cache = %d, want 0", got)
 	}
 }
@@ -17,13 +17,13 @@ func TestCacheLookupEmpty(t *testing.T) {
 func TestCacheInsertAndLookup(t *testing.T) {
 	c := newCacheState(0, 1024)
 	c.insert(1, 0, 100, false)
-	if got := c.lookup(1, 0, 100); got != 100 {
+	if got, _ := c.lookup(1, 0, 100); got != 100 {
 		t.Fatalf("lookup = %d, want 100", got)
 	}
-	if got := c.lookup(1, 50, 150); got != 50 {
+	if got, _ := c.lookup(1, 50, 150); got != 50 {
 		t.Fatalf("partial lookup = %d, want 50", got)
 	}
-	if got := c.lookup(2, 0, 100); got != 0 {
+	if got, _ := c.lookup(2, 0, 100); got != 0 {
 		t.Fatalf("other buffer lookup = %d, want 0", got)
 	}
 	if err := c.checkInvariants(); err != nil {
@@ -35,7 +35,7 @@ func TestCacheOverlappingInsertNoDoubleCount(t *testing.T) {
 	c := newCacheState(0, 10240)
 	c.insert(1, 0, 100, false)
 	c.insert(1, 50, 150, false)
-	if got := c.lookup(1, 0, 150); got != 150 {
+	if got, _ := c.lookup(1, 0, 150); got != 150 {
 		t.Fatalf("lookup = %d, want 150", got)
 	}
 	if c.occupancy() != 150 {
@@ -50,7 +50,7 @@ func TestCacheInsertSplitsCoveringRegion(t *testing.T) {
 	c := newCacheState(0, 10240)
 	c.insert(1, 0, 300, true)
 	c.insert(1, 100, 200, false) // punches a clean hole in a dirty region
-	if cached, dirty := c.lookupBoth(1, 0, 300); cached != 300 || dirty != 200 {
+	if cached, dirty := c.lookup(1, 0, 300); cached != 300 || dirty != 200 {
 		t.Fatalf("cached, dirty bytes = %d, %d, want 300, 200", cached, dirty)
 	}
 	if err := c.checkInvariants(); err != nil {
@@ -70,10 +70,10 @@ func TestCacheLRUEvictionAndWriteback(t *testing.T) {
 	if wb := c.insert(3, 0, 100, false); wb != 100 {
 		t.Fatalf("writeback = %d, want 100", wb)
 	}
-	if got := c.lookup(1, 0, 100); got != 0 {
+	if got, _ := c.lookup(1, 0, 100); got != 0 {
 		t.Fatalf("evicted buffer still cached: %d bytes", got)
 	}
-	if got := c.lookup(2, 0, 100); got != 100 {
+	if got, _ := c.lookup(2, 0, 100); got != 100 {
 		t.Fatalf("buffer 2 should survive, cached %d", got)
 	}
 	if err := c.checkInvariants(); err != nil {
@@ -96,10 +96,10 @@ func TestCacheStreamingRegionLargerThanCapacity(t *testing.T) {
 		t.Fatalf("occupancy %d exceeds capacity", c.occupancy())
 	}
 	// Only the tail should remain.
-	if got := c.lookup(1, 900, 1000); got != 100 {
+	if got, _ := c.lookup(1, 900, 1000); got != 100 {
 		t.Fatalf("tail cached = %d, want 100", got)
 	}
-	if got := c.lookup(1, 0, 900); got != 0 {
+	if got, _ := c.lookup(1, 0, 900); got != 0 {
 		t.Fatalf("head cached = %d, want 0", got)
 	}
 	_ = wb
@@ -112,7 +112,7 @@ func TestCacheInvalidate(t *testing.T) {
 	c := newCacheState(0, 1024)
 	c.insert(1, 0, 200, true)
 	c.invalidate(1, 50, 150)
-	if got := c.lookup(1, 0, 200); got != 100 {
+	if got, _ := c.lookup(1, 0, 200); got != 100 {
 		t.Fatalf("after invalidate, cached = %d, want 100", got)
 	}
 	if err := c.checkInvariants(); err != nil {
@@ -125,10 +125,10 @@ func TestCacheInvalidateBuffer(t *testing.T) {
 	c.insert(1, 0, 200, true)
 	c.insert(2, 0, 200, true)
 	c.invalidateBuffer(1)
-	if got := c.lookup(1, 0, 200); got != 0 {
+	if got, _ := c.lookup(1, 0, 200); got != 0 {
 		t.Fatalf("buffer 1 still cached: %d", got)
 	}
-	if got := c.lookup(2, 0, 200); got != 200 {
+	if got, _ := c.lookup(2, 0, 200); got != 200 {
 		t.Fatalf("buffer 2 lost: %d", got)
 	}
 	if c.occupancy() != 200 {
@@ -144,19 +144,20 @@ func TestCacheRecencyOrder(t *testing.T) {
 	// Re-insert buffer 1 (most recent now), then overflow: buffer 2 is LRU.
 	c.insert(1, 0, 100, false)
 	c.insert(4, 0, 100, false)
-	if got := c.lookup(2, 0, 100); got != 0 {
+	if got, _ := c.lookup(2, 0, 100); got != 0 {
 		t.Fatalf("LRU buffer 2 should be evicted, cached %d", got)
 	}
-	if got := c.lookup(1, 0, 100); got != 100 {
+	if got, _ := c.lookup(1, 0, 100); got != 100 {
 		t.Fatalf("recently used buffer 1 evicted")
 	}
 }
 
 func TestCacheRandomOpsInvariants(t *testing.T) {
-	// Property: any interleaving of inserts, invalidations and lookups —
-	// scattered, or streamed in address-ordered chunks over buffers four
-	// times the capacity, as collectives do — keeps the tracker internally
-	// consistent and indistinguishable from the naive reference.
+	// Property: any interleaving of inserts, fused loads and stores,
+	// invalidations and lookups — scattered, or streamed in address-ordered
+	// chunks over buffers four times the capacity, as collectives do —
+	// keeps the tracker internally consistent and indistinguishable from
+	// the naive reference.
 	const capacity, nbufs = 4096, 5
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -173,8 +174,8 @@ func TestCacheRandomOpsInvariants(t *testing.T) {
 					size = 2 * capacity
 				}
 				lo := rng.Int63n(h.ext)
-				hi := min64(lo+rng.Int63n(size)+1, h.ext)
-				switch rng.Intn(7) {
+				hi := min(lo+rng.Int63n(size)+1, h.ext)
+				switch rng.Intn(9) {
 				case 0, 1, 2:
 					err = h.insert(buf, lo, hi, rng.Intn(2) == 0)
 				case 3, 4:
@@ -185,6 +186,8 @@ func TestCacheRandomOpsInvariants(t *testing.T) {
 					h.c.invalidateBuffer(buf)
 					h.ref.cut(buf, 0, h.ext)
 					err = h.compare(buf, 0, h.ext)
+				case 7, 8: // a fused load or temporal store
+					err = h.access(buf, lo, hi, rng.Intn(2) == 0)
 				}
 				n++
 			case 1: // re-touch pass: repeat the previous stream exactly
@@ -279,7 +282,7 @@ func (t *refTracker) used() (n int64) {
 // lookup returns how many bytes of [lo, hi) of buf are cached, and dirty.
 func (t *refTracker) lookup(buf uint64, lo, hi int64) (cached, dirty int64) {
 	for _, r := range t.lru {
-		if a, b := max64(r.lo, lo), min64(r.hi, hi); r.buf == buf && a < b {
+		if a, b := max(r.lo, lo), min(r.hi, hi); r.buf == buf && a < b {
 			cached += b - a
 			if r.dirty {
 				dirty += b - a
@@ -315,16 +318,28 @@ func (h *refCheck) invalidate(buf uint64, lo, hi int64) error {
 	return h.compare(buf, lo, hi)
 }
 
-// lookup compares both lookups of [lo, hi) of buf with the reference.
+// lookup compares the lookup of [lo, hi) of buf with the reference.
 func (h *refCheck) lookup(buf uint64, lo, hi int64) error {
 	wantCached, wantDirty := h.ref.lookup(buf, lo, hi)
-	if cached, dirty := h.c.lookupBoth(buf, lo, hi); cached != wantCached || dirty != wantDirty {
-		return fmt.Errorf("lookupBoth(%d, [%d,%d)) = %d, %d, reference %d, %d", buf, lo, hi, cached, dirty, wantCached, wantDirty)
-	}
-	if cached := h.c.lookup(buf, lo, hi); cached != wantCached {
-		return fmt.Errorf("lookup(%d, [%d,%d)) = %d, reference %d", buf, lo, hi, cached, wantCached)
+	if cached, dirty := h.c.lookup(buf, lo, hi); cached != wantCached || dirty != wantDirty {
+		return fmt.Errorf("lookup(%d, [%d,%d)) = %d, %d, reference %d, %d", buf, lo, hi, cached, dirty, wantCached, wantDirty)
 	}
 	return nil
+}
+
+// access runs the fused tracker call of a temporal store (store set) or a
+// load of [lo, hi) of buf, as Model charges it, and checks it against the
+// reference's lookup followed by insert: a store inserts dirty, a load with
+// the dirty bit of what it found.
+func (h *refCheck) access(buf uint64, lo, hi int64, store bool) error {
+	wantCached, wantDirty := h.ref.lookup(buf, lo, hi)
+	wantWB := h.ref.insert(buf, lo, hi, store || wantDirty > 0)
+	cached, dirty, wb := h.c.access(buf, lo, hi, store, !store)
+	if cached != wantCached || dirty != wantDirty || wb != wantWB {
+		return fmt.Errorf("access(%d, [%d,%d), store %v) = cached %d, dirty %d, write-back %d; reference %d, %d, %d",
+			buf, lo, hi, store, cached, dirty, wb, wantCached, wantDirty, wantWB)
+	}
+	return h.compare(buf, lo, hi)
 }
 
 // compare checks the tracker's structure, its occupancy, lookups over the
@@ -348,12 +363,14 @@ func (h *refCheck) compare(buf uint64, lo, hi int64) error {
 	return h.sameRecency()
 }
 
-// sameRecency compares the tracker's LRU list with the reference's, region
-// by region.
+// sameRecency compares the tracker's LRU list, walked along its int32
+// links from the arena's sentinel, with the reference's, region by region.
 func (h *refCheck) sameRecency() error {
 	i := 0
-	for r := h.c.lruFront; r != nil; r = r.next {
-		got := refRegion{r.buf, r.lo, r.hi, r.dirty}
+	a := h.c.arena
+	for id := a[0].next; id != 0; id = a[id].next {
+		r := a[id]
+		got := refRegion{uint64(r.buf), r.lo, r.hi, r.dirty}
 		if i == len(h.ref.lru) || got != h.ref.lru[i] {
 			return fmt.Errorf("LRU position %d holds %+v, reference %v", i, got, h.ref.lru)
 		}
@@ -376,19 +393,16 @@ type stream struct {
 
 func (s stream) ops() int { return int((s.hi - s.lo) / s.chunk) }
 
-// stream runs s chunk by chunk on both trackers the way Model charges it: a
-// store inserts dirty, a load re-inserts with the dirty bit of what it
-// found, an NT store invalidates.
+// stream runs s chunk by chunk on both trackers the way Model charges it:
+// temporal stores and loads through the fused call (see access), NT stores
+// as invalidations.
 func (h *refCheck) stream(s stream) error {
 	for lo := s.lo; lo < s.hi; lo += s.chunk {
 		hi := lo + s.chunk
 		var err error
 		switch s.kind {
-		case 0:
-			err = h.insert(s.buf, lo, hi, true)
-		case 1:
-			_, dirty := h.ref.lookup(s.buf, lo, hi)
-			err = h.insert(s.buf, lo, hi, dirty > 0)
+		case 0, 1:
+			err = h.access(s.buf, lo, hi, s.kind == 0)
 		case 2:
 			err = h.invalidate(s.buf, lo+s.trim, hi-s.trim)
 		}
@@ -405,7 +419,7 @@ func TestCacheLookupNeverExceedsRange(t *testing.T) {
 		c.insert(1, 0, 1000, false)
 		lo := int64(lo8)
 		hi := lo + int64(len8) + 1
-		got := c.lookup(1, lo, hi)
+		got, _ := c.lookup(1, lo, hi)
 		return got >= 0 && got <= hi-lo
 	}
 	if err := quick.Check(f, nil); err != nil {

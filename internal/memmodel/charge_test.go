@@ -216,3 +216,30 @@ func TestFusedOpsAllocateNothing(t *testing.T) {
 		t.Fatalf("fused ops allocate %.1f times per run, want 0", allocs)
 	}
 }
+
+// TestResidencySteadyStateAllocatesNothing alternates a whole-range copy
+// with a 1000-element-sliced run over the first 4096 elements of two
+// buffers. The copy and the run's ragged slices replace each other's
+// regions, so indexes keep dropping their heads while inserts append to
+// them. A head drop must keep the index's capacity for those inserts, so
+// the steady state allocates nothing.
+func TestResidencySteadyStateAllocatesNothing(t *testing.T) {
+	m := New(topo.NodeA(), []int{0})
+	src := m.NewBuffer("src", Shared, 0, 1<<16, false)
+	dst := m.NewBuffer("dst", Shared, 0, 1<<16, false)
+	srcs := []*Buffer{src}
+	var allocs float64
+	e := sim.NewEngine()
+	e.Spawn("r", func(p *sim.Proc) {
+		allocs = testing.AllocsPerRun(200, func() {
+			m.Fuse(p, 0, Op{Kind: CopyOp, Dst: dst, A: src, N: 4096}, Temporal, nil)
+			m.Run(p, 0, dst, 0, srcs, 0, 4096, 1000, Temporal, nil)
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state copies and runs allocate %.1f times per iteration, want 0", allocs)
+	}
+}

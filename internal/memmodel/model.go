@@ -216,11 +216,26 @@ func (m *Model) Counters() Counters { return m.counters }
 // ResetCounters zeroes the counters (residency state is preserved).
 func (m *Model) ResetCounters() { m.counters = Counters{} }
 
-// DropCaches empties every socket's residency tracker (cold start).
+// DropCaches empties every socket's residency tracker (cold start). The
+// trackers' work counters carry over.
 func (m *Model) DropCaches() {
-	for s := range m.caches {
-		m.caches[s] = newCacheState(s, m.caches[s].capacity)
+	for s, old := range m.caches {
+		m.caches[s] = newCacheState(s, old.capacity)
+		m.caches[s].counts = old.counts
 	}
+}
+
+// TrackerCounts returns the residency trackers' work counters, summed over
+// sockets, since the model was built.
+func (m *Model) TrackerCounts() TrackerCounts {
+	var t TrackerCounts
+	for _, c := range m.caches {
+		t.Evictions += c.counts.Evictions
+		t.SearchedEvictions += c.counts.SearchedEvictions
+		t.Seeks += c.counts.Seeks
+		t.SeekFallbacks += c.counts.SeekFallbacks
+	}
+	return t
 }
 
 // CacheOccupancy returns the resident bytes on a socket (diagnostics).
@@ -618,15 +633,12 @@ func (m *Model) load(socket, slot int, b *Buffer, off, n int64) float64 {
 	}
 	c := m.caches[socket]
 	c.curSlot = slot
-	// Single residency scan answers both "how much is cached" (timing) and
-	// "is any of it dirty" (the re-insert below must not lose the dirty bit
-	// of data a previous store left in the cache).
-	cached, dirtyOverlap := c.lookupBoth(b.ID, lo, hi)
+	// One tracker call answers "how much is cached" (timing) and re-inserts
+	// the full range, which also refreshes recency of the previously cached
+	// portion and keeps the dirty bit of data a previous store left there.
+	cached, _, wb := c.access(b.ID, lo, hi, false, true)
 	missed := bytes - cached
 	t := m.cacheTime(socket, cached) + m.dramTime(socket, b, missed)
-	// insert re-inserts the full range, which also refreshes recency of the
-	// previously cached portion.
-	wb := c.insert(b.ID, lo, hi, dirtyOverlap > 0)
 	if wb > 0 {
 		t += float64(wb) / m.dramBWPerRank[socket]
 		m.counters.DRAMTraffic += wb
@@ -651,7 +663,9 @@ func (m *Model) store(socket, slot int, b *Buffer, off, n int64, op stepOp) floa
 		m.counters.NTStoreBytes += bytes
 		return m.dramTime(socket, b, bytes)
 	}
-	cached := c.lookup(b.ID, lo, hi)
+	// The tracker call replaces any overlapped regions and marks the range
+	// dirty.
+	cached, _, wb := c.access(b.ID, lo, hi, true, false)
 	missed := bytes - cached
 	// Hit portion: store at cache speed.
 	t := m.cacheTime(socket, cached)
@@ -662,8 +676,6 @@ func (m *Model) store(socket, slot int, b *Buffer, off, n int64, op stepOp) floa
 		m.counters.RFOBytes += missed
 		t += m.cacheTime(socket, missed)
 	}
-	// insert replaces any overlapped regions and marks the range dirty.
-	wb := c.insert(b.ID, lo, hi, true)
 	if wb > 0 {
 		t += float64(wb) / m.dramBWPerRank[socket]
 		m.counters.DRAMTraffic += wb

@@ -44,9 +44,12 @@ fuzz:
 		echo "fuzz $${t#*:}"; $(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 10s ./$${t%%:*}; \
 	done
 
-# vet also fails on any Go file gofmt would change, listing the files.
+# vet covers the root module and the nested perfbench module, which
+# "go vet ./..." does not reach, and fails on any Go file gofmt would
+# change, listing the files.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l: unformatted Go files:"; echo "$$unformatted"; exit 1; fi
 
 # Fault-injection sweep: every collective x fault plan runs under the

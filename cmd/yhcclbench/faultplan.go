@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -110,9 +111,55 @@ func runFaultReplay(w io.Writer, path, shapeCSV string, ranks int, ranksSet bool
 			},
 			Plan: pf.Cluster,
 		})
-		if bad := chaos.ReportCluster(w, []chaos.ClusterResult{res}); bad > 0 {
-			return fmt.Errorf("replay: %d cluster-gate violations", bad)
+		bad := replayGate(res, resilient.DefaultClusterPolicy())
+		if n := chaos.ReportClusterJudged(w, []chaos.ClusterResult{res}, bad); n > 0 {
+			return fmt.Errorf("replay: %d cluster-gate violations", n)
 		}
 	}
 	return nil
+}
+
+// replayGate judges one replayed cluster plan. At the shapes the cluster
+// chaos sweep runs (chaos.DefaultClusterCases) it is the sweep's gate,
+// chaos.ClusterRecoveryGate. At any other shape two of that gate's rules
+// do not apply. Its per-rank memory budgets are sized for those shapes,
+// where a run's fixed costs spread over thousands of ranks: the replay
+// prints the figures without counting them. And it requires every node
+// crash to recover, but pol refuses a recompile that would leave fewer
+// than MinNodes nodes: such a crash is an accepted Unrecoverable outcome.
+// At every shape an UNDIAGNOSED outcome, an unrecovered link degrade, a
+// healthy case that is not clean and goroutine growth stay violations.
+func replayGate(r chaos.ClusterResult, pol resilient.ClusterPolicy) []string {
+	for _, c := range chaos.DefaultClusterCases(false) {
+		if c.Nodes == r.Case.Nodes && c.PerNode == r.Case.PerNode {
+			return chaos.ClusterRecoveryGate([]chaos.ClusterResult{r})
+		}
+	}
+	var bad []string
+	rep := r.Report
+	switch rep.Outcome {
+	case resilient.Undiagnosed:
+		bad = append(bad, fmt.Sprintf("UNDIAGNOSED: %s: %v", r.Case, rep.Err))
+	case resilient.Unrecoverable:
+		if cl := r.Case.Class(); cl == "link-degrade" || cl == "node-crash" && !tooFewSurvivors(rep, pol) {
+			bad = append(bad, fmt.Sprintf("unrecoverable %s plan: %s: %v", cl, r.Case, rep.Err))
+		}
+	}
+	if r.Case.Class() == "healthy" && rep.Outcome != resilient.CleanPass {
+		bad = append(bad, fmt.Sprintf("healthy case not clean: %s: %s", r.Case, rep.Outcome))
+	}
+	if r.GoroutineDelta > 2 {
+		bad = append(bad, fmt.Sprintf("memory: %s: goroutine count grew by %d (arming must not spawn goroutines)",
+			r.Case, r.GoroutineDelta))
+	}
+	return bad
+}
+
+// tooFewSurvivors reports whether a report ended on dead nodes whose
+// exclusion would leave fewer than pol.MinNodes nodes, the recompile the
+// policy refuses.
+func tooFewSurvivors(rep resilient.ClusterReport, pol resilient.ClusterPolicy) bool {
+	var cerr *cluster.ClusterRunError
+	return errors.As(rep.Err, &cerr) && len(cerr.DeadNodes) > 0 &&
+		rep.FinalNodes-len(cerr.DeadNodes) < pol.MinNodes
 }

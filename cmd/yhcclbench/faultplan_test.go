@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -87,7 +89,9 @@ func TestReplayDiagnosesPlanRejectedBeforeArming(t *testing.T) {
 		t.Fatalf("outcome %s (%v), want %s wrapping fault.ErrPlanRange", rep.Outcome, rep.Err, resilient.Unrecoverable)
 	}
 	var buf bytes.Buffer
-	_ = runFaultReplay(&buf, path, "", 0, false) // per-rank budget lines at 1x1 are a separate matter
+	if err := runFaultReplay(&buf, path, "", 0, false); err != nil {
+		t.Fatalf("replay: %v\n%s", err, buf.String())
+	}
 	for _, line := range strings.Split(buf.String(), "\n") {
 		if strings.HasPrefix(line, string(resilient.Undiagnosed)) || strings.Contains(line, "VIOLATION: UNDIAGNOSED") {
 			t.Fatalf("replay reports the plan undiagnosed:\n%s", buf.String())
@@ -95,5 +99,47 @@ func TestReplayDiagnosesPlanRejectedBeforeArming(t *testing.T) {
 	}
 	if !strings.HasPrefix(buf.String(), "replaying") || !strings.Contains(buf.String(), string(resilient.Unrecoverable)) {
 		t.Fatalf("replay output names no unrecoverable outcome:\n%s", buf.String())
+	}
+}
+
+// Plans replayed at shapes the cluster chaos sweep never runs are judged
+// without the sweep's per-rank memory budgets, and a node crash the policy
+// cannot recompile around (fewer than MinNodes survivors) is an accepted
+// Unrecoverable outcome: the seeded 2x2 plans that -fault-save writes and
+// hand-built 1x1 and 1x8 plans replay with no violation line.
+func TestReplayAtSmallShapesPrintsNoViolation(t *testing.T) {
+	dir := t.TempDir()
+	var paths []string
+	for seed := uint64(1); seed <= 6; seed++ {
+		path := filepath.Join(dir, fmt.Sprintf("2x2-seed%d.json", seed))
+		if err := runFaultSave(io.Discard, path, "2x2", 0, seed); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	for _, pl := range []*fault.ClusterPlan{
+		{Name: "crash-1x1", Shape: fault.ClusterShape{Nodes: 1, PerNode: 1},
+			Crashes: []fault.NodeCrash{{Node: 0, AtTick: 100}}},
+		{Name: "straggler-1x1", Shape: fault.ClusterShape{Nodes: 1, PerNode: 1},
+			Stragglers: []fault.NodeStraggler{{Node: 0, Factor: 3}}},
+		{Name: "crash-1x8", Shape: fault.ClusterShape{Nodes: 1, PerNode: 8},
+			Crashes: []fault.NodeCrash{{Node: 0, AtTick: 100}}},
+		{Name: "degrade-1x8", Shape: fault.ClusterShape{Nodes: 1, PerNode: 8},
+			LinkDegrades: []fault.LinkDegrade{{Node: 0, Factor: 4}}},
+		{Name: "straggler-1x8", Shape: fault.ClusterShape{Nodes: 1, PerNode: 8},
+			Stragglers: []fault.NodeStraggler{{Node: 0, Factor: 4}}},
+	} {
+		path := filepath.Join(dir, pl.Name+".json")
+		if err := fault.SaveClusterPlan(path, pl); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	for _, path := range paths {
+		var buf bytes.Buffer
+		err := runFaultReplay(&buf, path, "", 0, false)
+		if err != nil || strings.Contains(buf.String(), "VIOLATION") {
+			t.Errorf("replay of %s: %v\n%s", filepath.Base(path), err, buf.String())
+		}
 	}
 }

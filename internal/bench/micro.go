@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"yhccl/internal/coll"
 	"yhccl/internal/memcopy"
 	"yhccl/internal/memmodel"
@@ -46,7 +44,7 @@ func fig3CopyOut(quick bool) (*Figure, error) {
 		n := total / memmodel.ElemSize
 		sliceElems := slice / memmodel.ElemSize
 		ys[i] = m.MustRun(func(r *mpi.Rank) {
-			src := r.World().Shared("fig3/src", 0, n)
+			src := r.World().Shared(mpi.Key{Label: "fig3", Name: "src"}, 0, n)
 			dst := r.PersistentBuffer("fig3/dst", n)
 			for off := int64(0); off < n; off += sliceElems {
 				ln := sliceElems
@@ -140,10 +138,10 @@ func table5CMA(quick bool) (*Figure, error) {
 		return m.MustRun(func(r *mpi.Rank) {
 			buf := r.PersistentBuffer("t5/buf", msg)
 			c := r.World()
-			c.Publish(r, "t5/src", buf)
+			c.Publish(r, mpi.Key{Label: "t5", Name: "src"}, buf)
 			c.Barrier().Arrive(r.Proc())
 			if r.ID() != 0 {
-				coll.CMACopy(r, buf, 0, c.Peer("t5/src", 0), 0, msg, p-1)
+				coll.CMACopy(r, buf, 0, c.Peer(mpi.Key{Label: "t5", Name: "src"}, 0), 0, msg, p-1)
 			}
 		})
 	}
@@ -153,10 +151,10 @@ func table5CMA(quick bool) (*Figure, error) {
 			src := r.PersistentBuffer("t5/src", msg)
 			dst := r.PersistentBuffer("t5/dst", msg)
 			c := r.World()
-			c.Publish(r, "t5/ring", src)
+			c.Publish(r, mpi.Key{Label: "t5", Name: "ring"}, src)
 			c.Barrier().Arrive(r.Proc())
 			prev := (c.CommRank(r.ID()) + p - 1) % p
-			coll.CMACopy(r, dst, 0, c.Peer("t5/ring", prev), 0, msg, 1)
+			coll.CMACopy(r, dst, 0, c.Peer(mpi.Key{Label: "t5", Name: "ring"}, prev), 0, msg, 1)
 		})
 	}
 	adaptive := func(label string) float64 {
@@ -169,17 +167,17 @@ func table5CMA(quick bool) (*Figure, error) {
 		return m.MustRun(func(r *mpi.Rank) {
 			c := r.World()
 			me := c.CommRank(r.ID())
-			c.Shared(p2pSegLabel(me), c.SocketOf(me), msg) // allocate my window
+			c.Shared(windowKey(me), c.SocketOf(me), msg) // allocate my window
 			dst := r.PersistentBuffer("t5a/dst", msg)
 			c.Barrier().Arrive(r.Proc())
 			if label == "one-to-all" {
 				if me != 0 {
-					src := c.Shared(p2pSegLabel(0), c.SocketOf(0), msg)
+					src := c.Shared(windowKey(0), c.SocketOf(0), msg)
 					memcopy.Copy(r, memcopy.Adaptive, dst, 0, src, 0, msg, h)
 				}
 			} else {
 				prev := (me + p - 1) % p
-				src := c.Shared(p2pSegLabel(prev), c.SocketOf(prev), msg)
+				src := c.Shared(windowKey(prev), c.SocketOf(prev), msg)
 				memcopy.Copy(r, memcopy.Adaptive, dst, 0, src, 0, msg, h)
 			}
 		})
@@ -192,6 +190,7 @@ func table5CMA(quick bool) (*Figure, error) {
 	return f, nil
 }
 
-func p2pSegLabel(rank int) string {
-	return fmt.Sprintf("t5a/ring-seg/%d", rank)
+// windowKey keys rank's shared window in Table 5's adaptive-copy setup.
+func windowKey(rank int) mpi.Key {
+	return mpi.Key{Label: "t5a", Name: "ring-seg/%d", A: int64(rank)}
 }

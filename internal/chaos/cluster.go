@@ -208,6 +208,13 @@ func ClusterRecoveryGate(results []ClusterResult) []string {
 // outcome table, and the gate verdict — and returns the number of gate
 // violations.
 func ReportCluster(w io.Writer, results []ClusterResult) int {
+	return ReportClusterJudged(w, results, ClusterRecoveryGate(results))
+}
+
+// ReportClusterJudged is ReportCluster with the gate violations bad
+// judged by the caller, for results the sweep's gate does not fit (a plan
+// replayed at a shape the sweep never runs).
+func ReportClusterJudged(w io.Writer, results []ClusterResult, bad []string) int {
 	return report(w, "cluster recovery", results, func(_ int, r ClusterResult) string {
 		line := fmt.Sprintf("%-24s  %s  runs=%d  %4.0f B/rank/run %5.2f allocs/rank/run",
 			r.Report.Outcome, r.Case, r.Runs, r.BytesPerRun, r.AllocsPerRun)
@@ -221,5 +228,5 @@ func ReportCluster(w io.Writer, results []ClusterResult) int {
 			line += fmt.Sprintf(" rerouted=%s", r.Report.FinalAlg)
 		}
 		return line
-	}, ClusterRecoveryGate(results))
+	}, bad)
 }

@@ -1,8 +1,6 @@
 package coll
 
 import (
-	"fmt"
-
 	"yhccl/internal/memcopy"
 	"yhccl/internal/memmodel"
 	"yhccl/internal/mpi"
@@ -21,13 +19,9 @@ const dpmlSliceElems = 8 << 10 / memmodel.ElemSize
 
 // dpmlCopyIn copies each rank's whole send buffer into its shared segment.
 func dpmlCopyIn(r *mpi.Rank, c *mpi.Comm, sb *memmodel.Buffer, total int64, label string) (segs []*memmodel.Buffer, res *memmodel.Buffer) {
-	p := c.Size()
 	me := c.CommRank(r.ID())
-	segs = make([]*memmodel.Buffer, p)
-	for k := 0; k < p; k++ {
-		segs[k] = c.Shared(fmt.Sprintf("%s/seg%d/n=%d", label, k, total), c.SocketOf(k), total)
-	}
-	res = c.Shared(fmt.Sprintf("%s/res/n=%d", label, total), 0, total)
+	segs = c.Segments(mpi.Key{Label: label, Name: "seg%d/n=%d", B: total}, total)
+	res = c.Shared(mpi.Key{Label: label, Name: "res/n=%d", A: total}, 0, total)
 	memcopy.CopyRun(r, memcopy.Memmove, segs[me], 0, sb, 0, total, dpmlSliceElems, memcopy.Hints{})
 	return segs, res
 }
@@ -124,7 +118,7 @@ func ReduceScatterRing(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int6
 func gatherBlocksViaShm(r *mpi.Rank, c *mpi.Comm, rb *memmodel.Buffer, n, bn int64, label string) {
 	p := int64(c.Size())
 	me := int64(c.CommRank(r.ID()))
-	seg := c.Shared(fmt.Sprintf("%s/gather/n=%d", label, n), 0, bn*p)
+	seg := c.Shared(mpi.Key{Label: label, Name: "gather/n=%d", A: n}, 0, bn*p)
 	lo := me * bn
 	if lo < n {
 		memcopy.Copy(r, memcopy.Memmove, seg, lo, rb, lo, min64(bn, n-lo), memcopy.Hints{})

@@ -47,9 +47,9 @@ func BcastCMA(r *mpi.Rank, c *mpi.Comm, buf *memmodel.Buffer, n int64, root int,
 		return
 	}
 	me := c.CommRank(r.ID())
-	publishAndBarrier(r, c, "cma-bcast/buf", buf)
+	publishAndBarrier(r, c, mpi.Key{Label: "cma-bcast", Name: "buf"}, buf)
 	if me != root {
-		src := c.Peer("cma-bcast/buf", root)
+		src := c.Peer(mpi.Key{Label: "cma-bcast", Name: "buf"}, root)
 		CMACopy(r, buf, 0, src, 0, n, c.Size()-1)
 	}
 	c.Barrier().Arrive(r.Proc())
@@ -69,9 +69,9 @@ func AllreduceCMA(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op
 	// Double-buffered running partial: round k writes slot k%2 while the
 	// successor reads slot (k-1)%2, so concurrent rounds never collide.
 	scratch := r.PersistentBuffer("cma-ar/scratch", 2*bn)
-	publishAndBarrier(r, c, "cma-ar/sb", sb)
-	publishAndBarrier(r, c, "cma-ar/scratch", scratch)
-	publishAndBarrier(r, c, "cma-ar/rb", rb)
+	publishAndBarrier(r, c, mpi.Key{Label: "cma-ar", Name: "sb"}, sb)
+	publishAndBarrier(r, c, mpi.Key{Label: "cma-ar", Name: "scratch"}, scratch)
+	publishAndBarrier(r, c, mpi.Key{Label: "cma-ar", Name: "rb"}, rb)
 	blockLen := func(b int64) int64 {
 		lo := b * bn
 		if lo >= n {
@@ -92,9 +92,9 @@ func AllreduceCMA(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op
 			var src *memmodel.Buffer
 			var sOff int64
 			if k == 1 {
-				src, sOff = c.Peer("cma-ar/sb", prev), recvB*bn
+				src, sOff = c.Peer(mpi.Key{Label: "cma-ar", Name: "sb"}, prev), recvB*bn
 			} else {
-				src, sOff = c.Peer("cma-ar/scratch", prev), ((k-1)%2)*bn
+				src, sOff = c.Peer(mpi.Key{Label: "cma-ar", Name: "scratch"}, prev), ((k-1)%2)*bn
 			}
 			pages := ceilDiv(ln*memmodel.ElemSize, cmaPageBytes)
 			r.Compute(float64(pages) * cmaPageOverhead)
@@ -111,7 +111,7 @@ func AllreduceCMA(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op
 		b := (me + j) % p
 		ln := blockLen(b)
 		if ln > 0 {
-			peer := c.Peer("cma-ar/rb", int(b))
+			peer := c.Peer(mpi.Key{Label: "cma-ar", Name: "rb"}, int(b))
 			CMACopy(r, rb, b*bn, peer, b*bn, ln, 1)
 		}
 	}

@@ -1,8 +1,6 @@
 package coll
 
 import (
-	"fmt"
-
 	"yhccl/internal/memcopy"
 	"yhccl/internal/memmodel"
 	"yhccl/internal/mpi"
@@ -38,7 +36,7 @@ func GatherShm(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, root 
 		r.CopyElems(rb, 0, sb, 0, n, memmodel.Temporal)
 		return
 	}
-	seg := c.Shared(fmt.Sprintf("gather/seg/n=%d", n), c.SocketOf(root), p*n)
+	seg := c.Shared(mpi.Key{Label: "gather", Name: "seg/n=%d", A: n}, c.SocketOf(root), p*n)
 	w := (n*p + n*p + p*n) * memmodel.ElemSize
 	hIn := hints(c.Machine(), false, w)
 	hOut := hints(c.Machine(), true, w)
@@ -63,12 +61,12 @@ func GatherShm(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, root 
 func GatherXPMEM(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, root int, o Options) {
 	p := int64(c.Size())
 	me := int64(c.CommRank(r.ID()))
-	publishAndBarrier(r, c, "xpmem-gather/sb", sb)
+	publishAndBarrier(r, c, mpi.Key{Label: "xpmem-gather", Name: "sb"}, sb)
 	if me == int64(root) {
 		r.CopyElems(rb, me*n, sb, 0, n, memmodel.Temporal)
 		for j := int64(1); j < p; j++ {
 			b := (me + j) % p
-			peer := c.Peer("xpmem-gather/sb", int(b))
+			peer := c.Peer(mpi.Key{Label: "xpmem-gather", Name: "sb"}, int(b))
 			memcopy.Copy(r, memcopy.Memmove, rb, b*n, peer, 0, n, memcopy.Hints{})
 		}
 	}
@@ -85,7 +83,7 @@ func ScatterShm(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, root
 		r.CopyElems(rb, 0, sb, 0, n, memmodel.Temporal)
 		return
 	}
-	seg := c.Shared(fmt.Sprintf("scatter/seg/n=%d", n), c.SocketOf(root), p*n)
+	seg := c.Shared(mpi.Key{Label: "scatter", Name: "seg/n=%d", A: n}, c.SocketOf(root), p*n)
 	w := (n*p + n*p + p*n) * memmodel.ElemSize
 	hIn := hints(c.Machine(), false, w)
 	hOut := hints(c.Machine(), true, w)
@@ -110,8 +108,8 @@ func ScatterShm(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, root
 func ScatterXPMEM(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, root int, o Options) {
 	p := int64(c.Size())
 	me := int64(c.CommRank(r.ID()))
-	publishAndBarrier(r, c, "xpmem-scatter/sb", sb)
-	src := c.Peer("xpmem-scatter/sb", root)
+	publishAndBarrier(r, c, mpi.Key{Label: "xpmem-scatter", Name: "sb"}, sb)
+	src := c.Peer(mpi.Key{Label: "xpmem-scatter", Name: "sb"}, root)
 	if me == int64(root) {
 		r.CopyElems(rb, 0, sb, me*n, n, memmodel.Temporal)
 	} else {
@@ -146,10 +144,7 @@ func alltoallShm(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, o O
 		r.CopyElems(rb, 0, sb, 0, n, memmodel.Temporal)
 		return
 	}
-	segs := make([]*memmodel.Buffer, p)
-	for k := int64(0); k < p; k++ {
-		segs[k] = c.Shared(fmt.Sprintf("a2a/seg%d/n=%d", k, n), c.SocketOf(int(k)), p*n)
-	}
+	segs := c.Segments(mpi.Key{Label: "a2a", Name: "seg%d/n=%d", B: n}, p*n)
 	w := (2*n*p*p + n*p*p) * memmodel.ElemSize
 	hIn := hints(c.Machine(), false, w)
 	hOut := hints(c.Machine(), true, w)
@@ -212,11 +207,11 @@ func mortonDecode(z int64) (x, y int64) {
 func AlltoallXPMEM(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, o Options) {
 	p := int64(c.Size())
 	me := int64(c.CommRank(r.ID()))
-	publishAndBarrier(r, c, "xpmem-a2a/sb", sb)
+	publishAndBarrier(r, c, mpi.Key{Label: "xpmem-a2a", Name: "sb"}, sb)
 	r.CopyElems(rb, me*n, sb, me*n, n, memmodel.Temporal)
 	for jj := int64(1); jj < p; jj++ {
 		j := (me + jj) % p
-		peer := c.Peer("xpmem-a2a/sb", int(j))
+		peer := c.Peer(mpi.Key{Label: "xpmem-a2a", Name: "sb"}, int(j))
 		memcopy.Copy(r, memcopy.Memmove, rb, j*n, peer, me*n, n, memcopy.Hints{})
 	}
 	c.Barrier().Arrive(r.Proc())

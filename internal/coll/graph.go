@@ -7,7 +7,6 @@ import (
 	"yhccl/internal/memmodel"
 	"yhccl/internal/mpi"
 	"yhccl/internal/plan"
-	"yhccl/internal/shm"
 )
 
 // This file executes internal/plan chunk-level DAGs on the machine — the
@@ -47,14 +46,12 @@ func execGraph(r *mpi.Rank, c *mpi.Comm, g *plan.Graph,
 	p := c.Size()
 	I := sliceElems(lay.maxBlock, o)
 
-	slots := c.Shared(fmt.Sprintf("plan/slots/%d/I=%d", g.Slots, I), 0, int64(g.Slots)*I)
+	slots := c.Shared(mpi.Key{Label: "plan", Name: "slots/%d/I=%d", A: int64(g.Slots), B: I}, 0, int64(g.Slots)*I)
 	slotOff := func(s int32) int64 { return int64(s) * I }
-	// One flag per slot, in groups of p (Comm.Flags hands out p at a time).
-	flags := make([]*shm.Flag, 0, ((g.Slots+p-1)/p)*p)
-	for k := 0; k*p < g.Slots; k++ {
-		flags = append(flags, c.Flags(fmt.Sprintf("plan/gf/%d", k))...)
-	}
-	base := *c.Counter(r, "plan/graph/base")
+	// One flag per slot, in sets of p (Comm.Flags hands out p at a time).
+	flags := c.FlagSets(mpi.Key{Label: "plan", Name: "gf/%d"}, (g.Slots+p-1)/p)
+	ctr := c.Counter(r, mpi.Key{Label: "plan", Name: "graph/base"})
+	base := *ctr
 	hIn := hints(c.Machine(), false, lay.workSet)
 
 	operand := func(opnd plan.Operand, b int32, start int64, epoch uint64) (*memmodel.Buffer, int64) {
@@ -105,7 +102,7 @@ func execGraph(r *mpi.Rank, c *mpi.Comm, g *plan.Graph,
 		// Slot-reuse protection between pipeline chunks.
 		c.Barrier().Arrive(r.Proc())
 	}
-	*c.Counter(r, "plan/graph/base") = base + numChunks
+	*ctr = base + numChunks
 }
 
 // ReduceScatterGraph executes a synthesized reduce-scatter DAG: sb has p*n

@@ -42,12 +42,12 @@ func newMACtx(r *mpi.Rank, c *mpi.Comm, I int64, label string) *maCtx {
 	if me < 0 {
 		panic(fmt.Sprintf("coll: rank %d not in comm %s", r.ID(), c.Name()))
 	}
-	shmBuf := c.Shared(fmt.Sprintf("%s/shm/I=%d", label, I), c.SocketOf(0), I*int64(p))
+	shmBuf := c.Shared(mpi.Key{Label: label, Name: "shm/I=%d", A: I}, c.SocketOf(0), I*int64(p))
 	return &maCtx{
 		comm:  c,
 		shm:   shmBuf,
-		flags: c.Flags(label + "/flags"),
-		base:  c.Counter(r, label+"/base"),
+		flags: c.Flags(mpi.Key{Label: label, Name: "flags"}),
+		base:  c.Counter(r, mpi.Key{Label: label, Name: "base"}),
 		I:     I,
 		p:     p,
 		me:    me,

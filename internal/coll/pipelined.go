@@ -1,8 +1,6 @@
 package coll
 
 import (
-	"fmt"
-
 	"yhccl/internal/memcopy"
 	"yhccl/internal/memmodel"
 	"yhccl/internal/mpi"
@@ -39,7 +37,7 @@ func BcastPipelined(r *mpi.Rank, c *mpi.Comm, buf *memmodel.Buffer, n int64, roo
 	}
 	me := c.CommRank(r.ID())
 	I := pipeSlice(n, o)
-	slots := c.Shared(fmt.Sprintf("pipe-bcast/slots/I=%d", I), c.SocketOf(root), 2*I)
+	slots := c.Shared(mpi.Key{Label: "pipe-bcast", Name: "slots/I=%d", A: I}, c.SocketOf(root), 2*I)
 	w := (n + n*(p-1) + 2*I) * memmodel.ElemSize
 	hIn := hints(c.Machine(), false, w)
 	hOut := hints(c.Machine(), true, w)
@@ -77,7 +75,7 @@ func AllgatherPipelined(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int
 		return
 	}
 	I := pipeSlice(n, o)
-	slots := c.Shared(fmt.Sprintf("pipe-ag/slots/I=%d", I), 0, p*2*I)
+	slots := c.Shared(mpi.Key{Label: "pipe-ag", Name: "slots/I=%d", A: I}, 0, p*2*I)
 	w := (n*p + n*p*p + 2*p*I) * memmodel.ElemSize
 	hIn := hints(c.Machine(), false, w)
 	hOut := hints(c.Machine(), true, w)

@@ -1,8 +1,6 @@
 package coll
 
 import (
-	"fmt"
-
 	"yhccl/internal/memcopy"
 	"yhccl/internal/memmodel"
 	"yhccl/internal/mpi"
@@ -83,9 +81,10 @@ func rgRun(r *mpi.Rank, c *mpi.Comm, sb *memmodel.Buffer, n int64, op mpi.Op, ro
 	for _, kids := range children {
 		allKids = append(allKids, kids...)
 	}
-	slots := c.Shared(fmt.Sprintf("%s/slots/I=%d", label, I), 0, int64(p)*2*I)
-	flags := c.Flags(label + "/flags")
-	base := *c.Counter(r, label+"/base")
+	slots := c.Shared(mpi.Key{Label: label, Name: "slots/I=%d", A: I}, 0, int64(p)*2*I)
+	flags := c.Flags(mpi.Key{Label: label, Name: "flags"})
+	ctr := c.Counter(r, mpi.Key{Label: label, Name: "base"})
+	base := *ctr
 	w := (n*int64(p) + n*int64(p) + int64(p)*2*I) * memmodel.ElemSize
 	hIn := hints(c.Machine(), false, w)
 
@@ -129,7 +128,7 @@ func rgRun(r *mpi.Rank, c *mpi.Comm, sb *memmodel.Buffer, n int64, op mpi.Op, ro
 		}
 	}
 	c.Barrier().Arrive(r.Proc())
-	*c.Counter(r, label+"/base") = base + numSlices
+	*ctr = base + numSlices
 }
 
 func max64(a, b int64) int64 {
@@ -155,7 +154,7 @@ func ReduceRG(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi
 func rgReduceImpl(r *mpi.Rank, c *mpi.Comm, sb, dst *memmodel.Buffer, n int64, op mpi.Op, root int, o Options, label string) {
 	me := c.CommRank(r.ID())
 	I := min64(int64(rgSliceBytes/memmodel.ElemSize), max64(n, 1))
-	slots := c.Shared(fmt.Sprintf("%s/slots/I=%d", label, I), 0, int64(c.Size())*2*I)
+	slots := c.Shared(mpi.Key{Label: label, Name: "slots/I=%d", A: I}, 0, int64(c.Size())*2*I)
 	var final func(t, off, ln, ownSlotOff, childSlotOff int64)
 	if me == root {
 		final = func(t, off, ln, ownSlotOff, childSlotOff int64) {
@@ -183,12 +182,13 @@ func AllreduceRG(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op 
 	const root = 0
 	label := "rg-ar"
 	I := min64(int64(rgSliceBytes/memmodel.ElemSize), max64(n, 1))
-	res := c.Shared(fmt.Sprintf("%s/res/I=%d", label, I), 0, 2*I)
-	slots := c.Shared(fmt.Sprintf("%s/slots/I=%d", label, I), 0, int64(p)*2*I)
-	rootFlag := c.Flags(label + "/rootflag")[root]
-	consumed := c.Flags(label + "/consumed")[root] // single shared counter
-	base := *c.Counter(r, label+"/arbase")
-	cbase := *c.Counter(r, label+"/arcbase")
+	res := c.Shared(mpi.Key{Label: label, Name: "res/I=%d", A: I}, 0, 2*I)
+	slots := c.Shared(mpi.Key{Label: label, Name: "slots/I=%d", A: I}, 0, int64(p)*2*I)
+	rootFlag := c.Flags(mpi.Key{Label: label, Name: "rootflag"})[root]
+	consumed := c.Flags(mpi.Key{Label: label, Name: "consumed"})[root] // single shared counter
+	arbase := c.Counter(r, mpi.Key{Label: label, Name: "arbase"})
+	arcbase := c.Counter(r, mpi.Key{Label: label, Name: "arcbase"})
+	base, cbase := *arbase, *arcbase
 	w := (n*int64(p) + n*int64(p) + int64(p)*2*I) * memmodel.ElemSize
 	hOut := hints(c.Machine(), true, w)
 
@@ -215,6 +215,6 @@ func AllreduceRG(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op 
 		memcopy.Copy(r, o.Policy, rb, off, res, (t%2)*I, ln, hOut)
 		consumed.Incr(r.Proc())
 	})
-	*c.Counter(r, label+"/arbase") = base + ceilDiv(n, I)
-	*c.Counter(r, label+"/arcbase") = cbase + ceilDiv(n, I)*int64(p)
+	*arbase = base + ceilDiv(n, I)
+	*arcbase = cbase + ceilDiv(n, I)*int64(p)
 }

@@ -1,8 +1,6 @@
 package coll
 
 import (
-	"fmt"
-
 	"yhccl/internal/memcopy"
 	"yhccl/internal/memmodel"
 	"yhccl/internal/mpi"
@@ -32,10 +30,7 @@ func ScanShm(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.
 		r.CopyElems(rb, 0, sb, 0, n, memmodel.Temporal)
 		return
 	}
-	segs := make([]*memmodel.Buffer, p)
-	for k := 0; k < p; k++ {
-		segs[k] = c.Shared(fmt.Sprintf("scan/seg%d/n=%d", k, n), c.SocketOf(k), n)
-	}
+	segs := c.Segments(mpi.Key{Label: "scan", Name: "seg%d/n=%d", B: n}, n)
 	for off := int64(0); off < n; off += dpmlSliceElems {
 		ln := min64(dpmlSliceElems, n-off)
 		memcopy.Copy(r, memcopy.Memmove, segs[me], off, sb, off, ln, memcopy.Hints{})
@@ -65,9 +60,10 @@ func ScanChain(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mp
 	I := sliceElems(ceilDiv(n, int64(p)), o)
 	// Double-buffered partial per rank: rank i publishes its inclusive
 	// prefix slice for rank i+1 to extend.
-	slots := c.Shared(fmt.Sprintf("scan-chain/slots/I=%d", I), 0, int64(p)*2*I)
-	flags := c.Flags("scan-chain/flags")
-	base := *c.Counter(r, "scan-chain/base")
+	slots := c.Shared(mpi.Key{Label: "scan-chain", Name: "slots/I=%d", A: I}, 0, int64(p)*2*I)
+	flags := c.Flags(mpi.Key{Label: "scan-chain", Name: "flags"})
+	ctr := c.Counter(r, mpi.Key{Label: "scan-chain", Name: "base"})
+	base := *ctr
 	w := (2*n*int64(p) + int64(p)*2*I) * memmodel.ElemSize
 	hOut := hints(c.Machine(), true, w)
 	outKind := memcopy.Decide(o.Policy, I*memmodel.ElemSize, hOut)
@@ -99,7 +95,7 @@ func ScanChain(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mp
 		}
 		flags[me].Set(r.Proc(), uint64(base+t+1))
 	}
-	*c.Counter(r, "scan-chain/base") = base + numSlices
+	*ctr = base + numSlices
 	c.Barrier().Arrive(r.Proc())
 }
 

@@ -1,8 +1,6 @@
 package coll
 
 import (
-	"fmt"
-
 	"yhccl/internal/memcopy"
 	"yhccl/internal/memmodel"
 	"yhccl/internal/mpi"
@@ -49,21 +47,14 @@ type socketGeometry struct {
 	n       int64 // total message elements (bn*p conceptually, ragged ok)
 }
 
-// socketShm returns socket k's intra-MA shared segment (q slots of I),
-// homed on that socket. Any rank may resolve it (cross-socket reads are
-// how the combine phase accesses remote partials).
-func socketShm(c *mpi.Comm, k int, I int64, q int, label string) *memmodel.Buffer {
-	sc := c.Machine().SocketComm(k)
-	return sc.Shared(fmt.Sprintf("%s/shm/I=%d", label, I), k, I*int64(q))
-}
-
-// socketMAReduce runs the two-level reduction. combine(dst geometry) is
-// called on the owner rank of each finished piece with the global block
-// index b, the piece offset within the block, the piece length and the
-// slot offset; it must fold the m socket partials into the final
-// destination. Barriers bracket each pass.
+// socketMAReduce runs the two-level reduction; intra labels the
+// intra-socket MA contexts. combine(dst geometry) is called on the owner
+// rank of each finished piece with the global block index b, the piece
+// offset within the block, the piece length and the slot offset; it must
+// fold the m socket partials into the final destination. Barriers bracket
+// each pass.
 func socketMAReduce(r *mpi.Rank, c *mpi.Comm, sb *memmodel.Buffer, n int64, op mpi.Op, o Options,
-	label string, combine func(g socketGeometry, b int, pieceOff, length, slotOff int64),
+	intra string, combine func(g socketGeometry, b int, pieceOff, length, slotOff int64),
 	afterPass func(g socketGeometry, b0 int, pieceOff, length int64)) {
 
 	o = o.withDefaults()
@@ -76,7 +67,7 @@ func socketMAReduce(r *mpi.Rank, c *mpi.Comm, sb *memmodel.Buffer, n int64, op m
 	I := sliceElems(bn, o)
 	geo := socketGeometry{p: p, m: m, q: q, bn: bn, I: I, n: n}
 
-	intra := newMACtx(r, sc, I, label+"/intra")
+	mc := newMACtx(r, sc, I, intra)
 	w := (n*int64(p)*2 + int64(m)*int64(q)*I) * memmodel.ElemSize
 	hIn := hints(mach, false, w)
 
@@ -101,7 +92,7 @@ func socketMAReduce(r *mpi.Rank, c *mpi.Comm, sb *memmodel.Buffer, n int64, op m
 				}
 				return min64(length, bl-start)
 			}
-			intra.pass(r, sb, sbOff, lenOf, nil, op, o.Policy, hIn)
+			mc.pass(r, sb, sbOff, lenOf, nil, op, o.Policy, hIn)
 			c.Barrier().Arrive(r.Proc())
 			// Cross-socket combine: the owner of block b = j*m+g folds the
 			// m socket partials of slot j. Owners of this pass are the q
@@ -126,14 +117,11 @@ func socketMAReduce(r *mpi.Rank, c *mpi.Comm, sb *memmodel.Buffer, n int64, op m
 
 // combineSockets folds the m per-socket partials of slot `slotOff` into
 // dst[dOff..] as one run, charging the cross-socket loads the remote slots
-// imply.
-func combineSockets(r *mpi.Rank, c *mpi.Comm, geo socketGeometry, label string,
+// imply. The partials are the intra-socket MA segments (q slots of I)
+// labelled intra, each homed on its socket.
+func combineSockets(r *mpi.Rank, c *mpi.Comm, geo socketGeometry, intra string,
 	dst *memmodel.Buffer, dOff, slotOff, length int64, op mpi.Op, kind memmodel.StoreKind) {
-	var parts [2]*memmodel.Buffer // the sources of a two-socket node stay on the stack
-	srcs := parts[:0]
-	for k := 0; k < geo.m; k++ {
-		srcs = append(srcs, socketShm(c, k, geo.I, geo.q, label+"/intra"))
-	}
+	srcs := c.SocketShared(mpi.Key{Label: intra, Name: "shm/I=%d", A: geo.I}, geo.I*int64(geo.q))
 	r.ReduceRun(dst, dOff, srcs, slotOff, length, length, op, kind)
 }
 
@@ -149,11 +137,11 @@ func ReduceScatterSocketMA(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n 
 	total := int64(c.Size()) * n
 	w := (total*int64(c.Size()) + total) * memmodel.ElemSize
 	hOut := hints(c.Machine(), true, w)
-	label := "sma-rs"
-	socketMAReduce(r, c, sb, total, op, o, label,
+	const intra = "sma-rs/intra"
+	socketMAReduce(r, c, sb, total, op, o, intra,
 		func(geo socketGeometry, b int, pieceOff, length, slotOff int64) {
 			kind := memcopy.Decide(o.Policy, length*memmodel.ElemSize, hOut)
-			combineSockets(r, c, geo, label, rb, pieceOff, slotOff, length, op, kind)
+			combineSockets(r, c, geo, intra, rb, pieceOff, slotOff, length, op, kind)
 		}, nil)
 }
 
@@ -171,15 +159,15 @@ func AllreduceSocketMA(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int6
 	bn := ceilDiv(n, p)
 	I := sliceElems(bn, o)
 	q := int64(r.SocketComm().Size())
-	nodeShm := c.Shared(fmt.Sprintf("sma-ar/node/I=%d", I), 0, I*q)
+	nodeShm := c.Shared(mpi.Key{Label: "sma-ar", Name: "node/I=%d", A: I}, 0, I*q)
 	w := (n*p + n*p + int64(mach.Sockets())*q*I) * memmodel.ElemSize
 	hOut := hints(mach, true, w)
-	label := "sma-ar"
-	socketMAReduce(r, c, sb, n, op, o, label,
+	const intra = "sma-ar/intra"
+	socketMAReduce(r, c, sb, n, op, o, intra,
 		func(geo socketGeometry, b int, pieceOff, length, slotOff int64) {
 			// Owners write combined pieces into the node segment (temporal:
 			// it is immediately re-read by every rank's copy-out).
-			combineSockets(r, c, geo, label, nodeShm, slotOff, slotOff, length, op, memmodel.Temporal)
+			combineSockets(r, c, geo, intra, nodeShm, slotOff, slotOff, length, op, memmodel.Temporal)
 		},
 		func(geo socketGeometry, g int, pieceOff, length int64) {
 			// Every rank copies all q finished pieces of this pass to rb.
@@ -209,13 +197,13 @@ func ReduceSocketMA(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, 
 	bn := ceilDiv(n, p)
 	I := sliceElems(bn, o)
 	q := int64(r.SocketComm().Size())
-	nodeShm := c.Shared(fmt.Sprintf("sma-red/node/I=%d", I), 0, I*q)
+	nodeShm := c.Shared(mpi.Key{Label: "sma-red", Name: "node/I=%d", A: I}, 0, I*q)
 	w := (n*p + n + int64(mach.Sockets())*q*I) * memmodel.ElemSize
 	hOut := hints(mach, true, w)
-	label := "sma-red"
-	socketMAReduce(r, c, sb, n, op, o, label,
+	const intra = "sma-red/intra"
+	socketMAReduce(r, c, sb, n, op, o, intra,
 		func(geo socketGeometry, b int, pieceOff, length, slotOff int64) {
-			combineSockets(r, c, geo, label, nodeShm, slotOff, slotOff, length, op, memmodel.Temporal)
+			combineSockets(r, c, geo, intra, nodeShm, slotOff, slotOff, length, op, memmodel.Temporal)
 		},
 		func(geo socketGeometry, g int, pieceOff, length int64) {
 			if c.CommRank(r.ID()) != root {

@@ -1,8 +1,6 @@
 package coll
 
 import (
-	"fmt"
-
 	"yhccl/internal/memmodel"
 	"yhccl/internal/mpi"
 )
@@ -18,7 +16,7 @@ import (
 // segments, intra-socket parallel block reduction, cross-socket combine
 // into a node segment, copy-out.
 func AllreduceTwoLevel(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, o Options) {
-	twoLevelReduce(r, c, sb, n, op, o, "2lvl-ar", func(res *memmodel.Buffer) {
+	twoLevelReduce(r, c, sb, n, op, o, "2lvl-ar", "2lvl-ar/flat", func(res *memmodel.Buffer) {
 		r.CopyRun(rb, 0, res, 0, n, dpmlSliceElems, memmodel.Temporal)
 	})
 }
@@ -26,7 +24,7 @@ func AllreduceTwoLevel(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int6
 // ReduceTwoLevel is the small-message rooted reduce.
 func ReduceTwoLevel(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, root int, o Options) {
 	me := c.CommRank(r.ID())
-	twoLevelReduce(r, c, sb, n, op, o, "2lvl-red", func(res *memmodel.Buffer) {
+	twoLevelReduce(r, c, sb, n, op, o, "2lvl-red", "2lvl-red/flat", func(res *memmodel.Buffer) {
 		if me != root {
 			return
 		}
@@ -39,23 +37,23 @@ func ReduceTwoLevel(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, 
 func ReduceScatterTwoLevel(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, o Options) {
 	me := int64(c.CommRank(r.ID()))
 	total := int64(c.Size()) * n
-	twoLevelReduce(r, c, sb, total, op, o, "2lvl-rs", func(res *memmodel.Buffer) {
+	twoLevelReduce(r, c, sb, total, op, o, "2lvl-rs", "2lvl-rs/flat", func(res *memmodel.Buffer) {
 		r.CopyElems(rb, 0, res, me*n, n, memmodel.Temporal)
 	})
 }
 
 // twoLevelReduce reduces the full n-element message into a node shared
-// segment and hands it to finish after a barrier.
+// segment and hands it to finish after a barrier. label keys the
+// collective's resources, flat those of its plain-DPML fallback.
 func twoLevelReduce(r *mpi.Rank, c *mpi.Comm, sb *memmodel.Buffer, n int64, op mpi.Op, o Options,
-	label string, finish func(res *memmodel.Buffer)) {
+	label, flat string, finish func(res *memmodel.Buffer)) {
 	o = o.withDefaults()
-	mach := c.Machine()
 	p := c.Size()
 	me := c.CommRank(r.ID())
 
 	if !socketsBalanced(c) {
 		// Single socket or irregular binding: plain DPML shape.
-		segs, res := dpmlCopyIn(r, c, sb, n, label+"/flat")
+		segs, res := dpmlCopyIn(r, c, sb, n, flat)
 		c.Barrier().Arrive(r.Proc())
 		bn := ceilDiv(n, int64(p))
 		lo := int64(me) * bn
@@ -68,18 +66,15 @@ func twoLevelReduce(r *mpi.Rank, c *mpi.Comm, sb *memmodel.Buffer, n int64, op m
 		return
 	}
 
-	m := mach.Sockets()
 	sc := r.SocketComm()
 	q := sc.Size()
 	u := sc.CommRank(r.ID())
 
 	// Level 1: copy-in to the socket segment set, intra-socket parallel
 	// reduction of per-rank sub-blocks into the socket partial.
-	segs := make([]*memmodel.Buffer, q)
-	for k := 0; k < q; k++ {
-		segs[k] = sc.Shared(fmt.Sprintf("%s/seg%d/n=%d", label, k, n), r.Socket(), n)
-	}
-	partial := sc.Shared(fmt.Sprintf("%s/partial/n=%d", label, n), r.Socket(), n)
+	segs := sc.Segments(mpi.Key{Label: label, Name: "seg%d/n=%d", B: n}, n)
+	partialKey := mpi.Key{Label: label, Name: "partial/n=%d", A: n}
+	partial := sc.Shared(partialKey, r.Socket(), n)
 	r.CopyElems(segs[u], 0, sb, 0, n, memmodel.Temporal)
 	sc.Barrier().Arrive(r.Proc())
 	bq := ceilDiv(n, int64(q))
@@ -91,16 +86,12 @@ func twoLevelReduce(r *mpi.Rank, c *mpi.Comm, sb *memmodel.Buffer, n int64, op m
 
 	// Level 2: cross-socket combine into the node result. Rank i handles
 	// sub-block i of p.
-	res := c.Shared(fmt.Sprintf("%s/res/n=%d", label, n), 0, n)
+	res := c.Shared(mpi.Key{Label: label, Name: "res/n=%d", A: n}, 0, n)
 	bp := ceilDiv(n, int64(p))
 	lo = int64(me) * bp
 	if lo < n {
 		ln := min64(bp, n-lo)
-		parts := make([]*memmodel.Buffer, m)
-		for k := 0; k < m; k++ {
-			parts[k] = mach.SocketComm(k).Shared(fmt.Sprintf("%s/partial/n=%d", label, n), k, n)
-		}
-		r.ReduceRun(res, lo, parts, lo, ln, ln, op, memmodel.Temporal)
+		r.ReduceRun(res, lo, c.SocketShared(partialKey, n), lo, ln, ln, op, memmodel.Temporal)
 	}
 	c.Barrier().Arrive(r.Proc())
 	finish(res)

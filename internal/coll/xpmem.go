@@ -17,8 +17,8 @@ import (
 
 // publishAndBarrier registers the rank's buffer and synchronizes so every
 // peer can resolve it.
-func publishAndBarrier(r *mpi.Rank, c *mpi.Comm, label string, b *memmodel.Buffer) {
-	c.Publish(r, label, b)
+func publishAndBarrier(r *mpi.Rank, c *mpi.Comm, k mpi.Key, b *memmodel.Buffer) {
+	c.Publish(r, k, b)
 	c.Barrier().Arrive(r.Proc())
 }
 
@@ -34,17 +34,17 @@ func AllreduceXPMEM(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, 
 		return
 	}
 	bn := ceilDiv(n, p)
-	publishAndBarrier(r, c, "xpmem-ar/sb", sb)
-	publishAndBarrier(r, c, "xpmem-ar/rb", rb)
+	publishAndBarrier(r, c, mpi.Key{Label: "xpmem-ar", Name: "sb"}, sb)
+	publishAndBarrier(r, c, mpi.Key{Label: "xpmem-ar", Name: "rb"}, rb)
 
 	// Phase 1: direct-access reduce of block me into rb[me*bn].
 	lo := me * bn
 	if lo < n {
 		ln := min64(bn, n-lo)
-		first := c.Peer("xpmem-ar/sb", int((me+1)%p))
+		first := c.Peer(mpi.Key{Label: "xpmem-ar", Name: "sb"}, int((me+1)%p))
 		r.CombineElems(rb, lo, sb, lo, first, lo, ln, op, memmodel.Temporal)
 		for j := int64(2); j < p; j++ {
-			peer := c.Peer("xpmem-ar/sb", int((me+j)%p))
+			peer := c.Peer(mpi.Key{Label: "xpmem-ar", Name: "sb"}, int((me+j)%p))
 			r.AccumulateElems(rb, lo, peer, lo, ln, op, memmodel.Temporal)
 		}
 	}
@@ -58,7 +58,7 @@ func AllreduceXPMEM(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, 
 			continue
 		}
 		ln := min64(bn, n-blo)
-		peer := c.Peer("xpmem-ar/rb", int(b))
+		peer := c.Peer(mpi.Key{Label: "xpmem-ar", Name: "rb"}, int(b))
 		memcopy.Copy(r, memcopy.Memmove, rb, blo, peer, blo, ln, memcopy.Hints{})
 	}
 	c.Barrier().Arrive(r.Proc())
@@ -73,12 +73,12 @@ func ReduceScatterXPMEM(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int
 		r.CopyElems(rb, 0, sb, 0, n, memmodel.Temporal)
 		return
 	}
-	publishAndBarrier(r, c, "xpmem-rs/sb", sb)
+	publishAndBarrier(r, c, mpi.Key{Label: "xpmem-rs", Name: "sb"}, sb)
 	lo := me * n
-	first := c.Peer("xpmem-rs/sb", int((me+1)%p))
+	first := c.Peer(mpi.Key{Label: "xpmem-rs", Name: "sb"}, int((me+1)%p))
 	r.CombineElems(rb, 0, sb, lo, first, lo, n, op, memmodel.Temporal)
 	for j := int64(2); j < p; j++ {
-		peer := c.Peer("xpmem-rs/sb", int((me+j)%p))
+		peer := c.Peer(mpi.Key{Label: "xpmem-rs", Name: "sb"}, int((me+j)%p))
 		r.AccumulateElems(rb, 0, peer, lo, n, op, memmodel.Temporal)
 	}
 	c.Barrier().Arrive(r.Proc())
@@ -96,8 +96,8 @@ func ReduceXPMEM(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op 
 	}
 	bn := ceilDiv(n, p)
 	part := r.PersistentBuffer("xpmem-red/part", bn)
-	publishAndBarrier(r, c, "xpmem-red/sb", sb)
-	publishAndBarrier(r, c, "xpmem-red/part", part)
+	publishAndBarrier(r, c, mpi.Key{Label: "xpmem-red", Name: "sb"}, sb)
+	publishAndBarrier(r, c, mpi.Key{Label: "xpmem-red", Name: "part"}, part)
 	lo := me * bn
 	if lo < n {
 		ln := min64(bn, n-lo)
@@ -105,10 +105,10 @@ func ReduceXPMEM(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op 
 		if int(me) == root {
 			dst, dOff = rb, lo
 		}
-		first := c.Peer("xpmem-red/sb", int((me+1)%p))
+		first := c.Peer(mpi.Key{Label: "xpmem-red", Name: "sb"}, int((me+1)%p))
 		r.CombineElems(dst, dOff, sb, lo, first, lo, ln, op, memmodel.Temporal)
 		for j := int64(2); j < p; j++ {
-			peer := c.Peer("xpmem-red/sb", int((me+j)%p))
+			peer := c.Peer(mpi.Key{Label: "xpmem-red", Name: "sb"}, int((me+j)%p))
 			r.AccumulateElems(dst, dOff, peer, lo, ln, op, memmodel.Temporal)
 		}
 	}
@@ -121,7 +121,7 @@ func ReduceXPMEM(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op 
 				continue
 			}
 			ln := min64(bn, n-blo)
-			peer := c.Peer("xpmem-red/part", int(b))
+			peer := c.Peer(mpi.Key{Label: "xpmem-red", Name: "part"}, int(b))
 			memcopy.Copy(r, memcopy.Memmove, rb, blo, peer, 0, ln, memcopy.Hints{})
 		}
 	}
@@ -135,9 +135,9 @@ func BcastXPMEM(r *mpi.Rank, c *mpi.Comm, buf *memmodel.Buffer, n int64, root in
 		return
 	}
 	me := c.CommRank(r.ID())
-	publishAndBarrier(r, c, "xpmem-bcast/buf", buf)
+	publishAndBarrier(r, c, mpi.Key{Label: "xpmem-bcast", Name: "buf"}, buf)
 	if me != root {
-		src := c.Peer("xpmem-bcast/buf", root)
+		src := c.Peer(mpi.Key{Label: "xpmem-bcast", Name: "buf"}, root)
 		memcopy.Copy(r, memcopy.Memmove, buf, 0, src, 0, n, memcopy.Hints{})
 	}
 	c.Barrier().Arrive(r.Proc())
@@ -152,10 +152,10 @@ func AllgatherXPMEM(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, 
 	if p == 1 {
 		return
 	}
-	publishAndBarrier(r, c, "xpmem-ag/sb", sb)
+	publishAndBarrier(r, c, mpi.Key{Label: "xpmem-ag", Name: "sb"}, sb)
 	for j := int64(1); j < p; j++ {
 		b := (me + j) % p
-		peer := c.Peer("xpmem-ag/sb", int(b))
+		peer := c.Peer(mpi.Key{Label: "xpmem-ag", Name: "sb"}, int(b))
 		memcopy.Copy(r, memcopy.Memmove, rb, b*n, peer, 0, n, memcopy.Hints{})
 	}
 	c.Barrier().Arrive(r.Proc())

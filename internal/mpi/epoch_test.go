@@ -91,21 +91,23 @@ func TestEpochErrorExactFormat(t *testing.T) {
 			t.Fatalf("message:\n got %q\nwant %q", got, want)
 		}
 	}()
-	stale.Shared("x", 0, 8)
+	stale.Shared(Key{Label: "test", Name: "x"}, 0, 8)
 }
 
 // Every resource accessor on a stale communicator must trip the check, not
 // just Shared — a single silent path would let cross-epoch traffic through.
 func TestEpochCheckCoversAllAccessors(t *testing.T) {
 	accessors := map[string]func(c *Comm){
-		"Shared":       func(c *Comm) { c.Shared("x", 0, 8) },
-		"SharedPinned": func(c *Comm) { c.SharedPinned("x", 0, 8) },
-		"Flags":        func(c *Comm) { c.Flags("f") },
-		"Publish":      func(c *Comm) { c.Publish(&Rank{machine: c.machine, id: 0}, "p", nil) },
-		"Peer":         func(c *Comm) { c.Peer("p", 0) },
-		"Counter":      func(c *Comm) { c.Counter(&Rank{machine: c.machine, id: 0}, "k") },
+		"Shared":       func(c *Comm) { c.Shared(Key{Label: "test", Name: "x"}, 0, 8) },
+		"Segments":     func(c *Comm) { c.Segments(Key{Label: "test", Name: "seg%d"}, 8) },
+		"SocketShared": func(c *Comm) { c.SocketShared(Key{Label: "test", Name: "part"}, 8) },
+		"Flags":        func(c *Comm) { c.Flags(Key{Label: "test", Name: "f"}) },
+		"FlagSets":     func(c *Comm) { c.FlagSets(Key{Label: "test", Name: "f%d"}, 2) },
+		"Publish":      func(c *Comm) { c.Publish(&Rank{machine: c.machine, id: 0}, Key{Label: "test", Name: "p"}, nil) },
+		"Peer":         func(c *Comm) { c.Peer(Key{Label: "test", Name: "p"}, 0) },
+		"Counter":      func(c *Comm) { c.Counter(&Rank{machine: c.machine, id: 0}, Key{Label: "test", Name: "k"}) },
 		"Barrier":      func(c *Comm) { c.Barrier() },
-		"channel":      func(c *Comm) { c.channel(0, 1, 8) },
+		"channel":      func(c *Comm) { c.channel(0, 1) },
 	}
 	for name, op := range accessors {
 		m := NewMachineWithSpares(topo.NodeA(), 4, 1, false)
@@ -272,8 +274,8 @@ func TestShrinkGrowRoundTripRealData(t *testing.T) {
 		w := r.World()
 		buf := r.NewBuffer("v", elems)
 		r.FillPattern(buf, float64(r.ID()+1))
-		acc := w.Shared("acc", 0, elems)
-		fs := w.Flags("turn")
+		acc := w.Shared(Key{Label: "test", Name: "acc"}, 0, elems)
+		fs := w.Flags(Key{Label: "test", Name: "turn"})
 		if r.ID() == 0 {
 			r.CopyElems(acc, 0, buf, 0, elems, memmodel.Temporal)
 		} else {

@@ -29,11 +29,13 @@ type Machine struct {
 	// detection entirely.
 	Watchdog int
 
-	world    *Comm
-	sockets  []*Comm
-	privBufs map[int]map[string]*memmodel.Buffer
-	inject   *fault.Injector
-	rankOps  []string // op each rank last declared via SetOp, for diagnostics
+	world     *Comm
+	sockets   []*Comm
+	privBufs  map[int]map[string]*memmodel.Buffer
+	inject    *fault.Injector
+	rankOps   []string // op each rank last declared via SetOp, for diagnostics
+	procNames []string // "rank%d" per rank, formatted by the first Run
+	created   int      // buffers and flags the communicators created
 
 	// epoch is the membership epoch: 0 at creation, bumped once per
 	// membership change (Quarantine rebind, Shrink, Grow). Every communicator
@@ -315,6 +317,12 @@ func (m *Machine) RankClocks() []float64 {
 	return append([]float64(nil), m.lastClocks...)
 }
 
+// CommResources returns how many shared buffers and flags the machine's
+// communicators have created so far, p2p channels' flags and staging
+// included. A warm collective call finds every resource it uses and
+// creates none.
+func (m *Machine) CommResources() int { return m.created }
+
 // RunCounts returns the engine's work counters (run-queue pops and
 // coroutine resumes) of the most recent Run, failed or not.
 func (m *Machine) RunCounts() sim.Counts { return m.runCounts }
@@ -401,10 +409,16 @@ func (m *Machine) Run(body func(r *Rank)) (makespan float64, err error) {
 	if inj != nil {
 		inj.BeginRun(m.Size())
 	}
+	if len(m.procNames) != m.Size() {
+		m.procNames = make([]string, m.Size())
+		for i := range m.procNames {
+			m.procNames[i] = fmt.Sprintf("rank%d", i)
+		}
+	}
 	procs := make([]*sim.Proc, m.Size())
 	for i := range m.RankCores {
 		i := i
-		p := e.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
+		p := e.Spawn(m.procNames[i], func(p *sim.Proc) {
 			body(&Rank{proc: p, machine: m, id: i})
 		})
 		procs[i] = p

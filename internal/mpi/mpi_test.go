@@ -67,7 +67,7 @@ func TestSharedBufferMemoization(t *testing.T) {
 	m := NewMachine(topo.NodeA(), 4, false)
 	var bufs []*memmodel.Buffer
 	m.MustRun(func(r *Rank) {
-		bufs = append(bufs, r.World().Shared("seg", 0, 100))
+		bufs = append(bufs, r.World().Shared(Key{Label: "test", Name: "seg"}, 0, 100))
 	})
 	for _, b := range bufs[1:] {
 		if b != bufs[0] {
@@ -84,8 +84,8 @@ func TestSharedBufferShapeMismatchPanics(t *testing.T) {
 		}
 	}()
 	m.MustRun(func(r *Rank) {
-		r.World().Shared("seg", 0, 100)
-		r.World().Shared("seg", 0, 200)
+		r.World().Shared(Key{Label: "test", Name: "seg"}, 0, 100)
+		r.World().Shared(Key{Label: "test", Name: "seg"}, 0, 200)
 	})
 }
 
@@ -116,7 +116,7 @@ func TestCopyVolumeCountedAcrossSpaces(t *testing.T) {
 	m := NewMachine(topo.NodeA(), 1, true)
 	m.MustRun(func(r *Rank) {
 		src := r.NewBuffer("src", 64)
-		shmBuf := r.World().Shared("seg", 0, 64)
+		shmBuf := r.World().Shared(Key{Label: "test", Name: "seg"}, 0, 64)
 		r.CopyElems(shmBuf, 0, src, 0, 64, memmodel.Temporal)
 	})
 	if got := m.Model.Counters().CopyVolume; got != 2*64*8 {
@@ -360,7 +360,7 @@ func TestRunErrorOnDeadlock(t *testing.T) {
 	m := NewMachine(topo.NodeA(), 2, false)
 	_, err := m.Run(func(r *Rank) {
 		if r.ID() == 0 {
-			r.World().Flags("never")[1].Wait(r.Proc(), r.Core(), 1)
+			r.World().Flags(Key{Label: "test", Name: "never"})[1].Wait(r.Proc(), r.Core(), 1)
 		}
 	})
 	if err == nil {
@@ -372,7 +372,7 @@ func TestSocketCommSharedResourcesDistinct(t *testing.T) {
 	m := NewMachine(topo.NodeA(), 64, false)
 	var b0, b1 *memmodel.Buffer
 	m.MustRun(func(r *Rank) {
-		b := r.SocketComm().Shared("seg", r.Socket(), 10)
+		b := r.SocketComm().Shared(Key{Label: "test", Name: "seg"}, r.Socket(), 10)
 		if r.ID() == 0 {
 			b0 = b
 		}

@@ -1,7 +1,7 @@
 package mpi
 
 import (
-	"fmt"
+	"strconv"
 
 	"yhccl/internal/memmodel"
 	"yhccl/internal/shm"
@@ -28,6 +28,8 @@ const DefaultP2PChunkElems = 8192
 // are reused by consecutive operations without resetting flags — the
 // standard epoch trick of shared-memory transports.
 type chanState struct {
+	name     string // "p2p/src->dst"
+	home     int    // the sender's socket, where staging is homed
 	staging  *memmodel.Buffer
 	produced *shm.Flag // chunks ever published by the sender
 	consumed *shm.Flag // messages ever fully drained by the receiver
@@ -39,33 +41,49 @@ type chanState struct {
 	gen      int // staging regrow generation
 }
 
-func p2pKey(src, dst int) string { return fmt.Sprintf("p2p/%d->%d", src, dst) }
-
 // channel returns the pipe for messages from comm rank src to comm rank
-// dst, creating it on first use. Staging is homed on the sender's socket
-// (the sender first-touches it with copy-in) and grows to the largest
-// message seen.
-func (c *Comm) channel(src, dst int, elems int64) *chanState {
+// dst, creating the communicator's (src, dst) table on the first send and
+// the pipe on first use.
+func (c *Comm) channel(src, dst int) *chanState {
 	c.check()
-	key := p2pKey(src, dst)
-	ch, ok := c.p2p[key]
-	if !ok {
+	if c.chans == nil {
+		c.chans = make([]*chanState, c.Size()*c.Size())
+	}
+	ch := c.chans[src*c.Size()+dst]
+	if ch == nil {
+		name := "p2p/" + strconv.Itoa(src) + "->" + strconv.Itoa(dst)
 		ch = &chanState{
-			produced: shm.NewFlag(c.machine.Model, key+"/produced", c.CoreOf(src)),
-			consumed: shm.NewFlag(c.machine.Model, key+"/consumed", c.CoreOf(dst)),
+			name:     name,
+			home:     c.SocketOf(src),
+			produced: shm.NewFlag(c.machine.Model, name+"/produced", c.CoreOf(src)),
+			consumed: shm.NewFlag(c.machine.Model, name+"/consumed", c.CoreOf(dst)),
 			chunk:    DefaultP2PChunkElems,
 		}
-		c.p2p[key] = ch
-	}
-	if ch.staging == nil || ch.staging.Elems < elems {
-		size := int64(DefaultP2PChunkElems)
-		for size < elems {
-			size *= 2
-		}
-		ch.gen++
-		ch.staging = c.SharedPinned(fmt.Sprintf("%s/staging@%d", key, ch.gen), c.SocketOf(src), size)
+		c.chans[src*c.Size()+dst] = ch
+		c.machine.created += 2
 	}
 	return ch
+}
+
+// fit makes ch's staging hold a message of elems. The channel owns its
+// staging outright: homed on the sender's socket (the sender first-touches
+// it with copy-in), it is the smallest power of two holding the largest
+// message seen, and a regrow drops the previous generation. Staging is
+// pinned, so its modelled cost depends on the bytes moved and its home,
+// not its length. A regrow must find the staging drained: the sender fits
+// after the previous message was consumed, the receiver before the
+// message is staged.
+func (c *Comm) fit(ch *chanState, elems int64) {
+	if ch.staging != nil && ch.staging.Elems >= elems {
+		return
+	}
+	size := int64(1)
+	for size < elems {
+		size *= 2
+	}
+	ch.gen++
+	ch.staging = c.arena.AllocPinned(ch.name+"/staging@"+strconv.Itoa(ch.gen), ch.home, size)
+	c.machine.created++
 }
 
 // Send transmits n elements of buf starting at off to comm rank dst using
@@ -75,21 +93,19 @@ func (c *Comm) channel(src, dst int, elems int64) *chanState {
 // message on this channel to have been drained. Matching Recv/RecvReduce
 // calls must agree on n.
 func (r *Rank) Send(c *Comm, dst int, buf *memmodel.Buffer, off, n int64) {
-	me := c.CommRank(r.id)
-	if me < 0 {
-		panic(fmt.Sprintf("mpi: rank %d not in comm %s", r.id, c.Name()))
-	}
+	me := c.mustRank(r)
 	if dst == me {
 		panic("mpi: send to self")
 	}
 	if n <= 0 {
 		panic("mpi: send of non-positive length")
 	}
-	ch := c.channel(me, dst, n)
+	ch := c.channel(me, dst)
 	// One-message-deep backpressure: the previous message must be drained.
 	if ch.msgsSent > 0 {
 		ch.consumed.Wait(r.proc, r.Core(), uint64(ch.msgsSent))
 	}
+	c.fit(ch, n)
 	for done := int64(0); done < n; {
 		k := min64(ch.chunk, n-done)
 		r.CopyElems(ch.staging, done, buf, off+done, k, memmodel.Temporal)
@@ -118,17 +134,15 @@ func (r *Rank) RecvReduce(c *Comm, src int, buf *memmodel.Buffer, off, n int64, 
 }
 
 func (r *Rank) recvCommon(c *Comm, src int, n int64, consume func(ch *chanState, sOff, dOff, k int64), off int64) {
-	me := c.CommRank(r.id)
-	if me < 0 {
-		panic(fmt.Sprintf("mpi: rank %d not in comm %s", r.id, c.Name()))
-	}
+	me := c.mustRank(r)
 	if src == me {
 		panic("mpi: recv from self")
 	}
 	if n <= 0 {
 		panic("mpi: recv of non-positive length")
 	}
-	ch := c.channel(src, me, n)
+	ch := c.channel(src, me)
+	c.fit(ch, n)
 	for done := int64(0); done < n; {
 		k := min64(ch.chunk, n-done)
 		ch.produced.Wait(r.proc, r.Core(), uint64(ch.rcvd+1))

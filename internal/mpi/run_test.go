@@ -125,11 +125,8 @@ func runWorkload(t *testing.T, sh runShape, real bool, form runForm, plan *fault
 	out := runOutcome{folds: make([][2]float64, p)}
 	bufs := make([]*memmodel.Buffer, 0, 2*p+1)
 	w := m.World()
-	segs := make([]*memmodel.Buffer, p)
-	for k := range segs {
-		segs[k] = w.Shared(fmt.Sprintf("seg%d", k), w.SocketOf(k), sh.n)
-	}
-	res := w.Shared("res", 0, sh.n*int64(p))
+	segs := w.Segments(Key{Label: "run", Name: "seg%d"}, sh.n)
+	res := w.Shared(Key{Label: "run", Name: "res"}, 0, sh.n*int64(p))
 	bufs = append(append(bufs, segs...), res)
 	rbs := make([]*memmodel.Buffer, p)
 	body := func(r *Rank) {

@@ -32,18 +32,47 @@ type measured struct {
 // measurer memoizes sim-backed service times for one node.
 type measurer struct {
 	node   *topo.Node
-	memo   map[string]measured
+	memo   map[memoKey]measured
 	oracle Oracle
 }
 
 func newMeasurer(node *topo.Node) *measurer {
-	return &measurer{node: node, memo: make(map[string]measured)}
+	return &measurer{node: node, memo: make(map[memoKey]measured)}
 }
 
-// key canonicalizes a measurement request.
-func measureKey(spec JobSpec, perSocket, ext []int) string {
-	return fmt.Sprintf("%s|%s|%d|%d|%d|%v|%v",
-		spec.Collective, spec.Alg, spec.MsgBytes, spec.Calls, spec.FaultSeed, perSocket, ext)
+// keySockets is how many sockets a memo key holds inline: every node the
+// repository models has two.
+const keySockets = 4
+
+// memoKey canonicalizes a measurement request as a comparable value: the
+// spec fields a measurement depends on, the per-socket shape and the
+// co-tenant counts. Making and looking it up formats nothing, except on a
+// node with more than keySockets sockets, whose counts are spelled out in
+// wide.
+type memoKey struct {
+	collective, alg string
+	msgBytes        int64
+	calls           int
+	faultSeed       uint64
+	nPer, nExt      int
+	perSocket, ext  [keySockets]int
+	wide            string
+}
+
+// measureKey returns the memo key of a measurement request.
+func measureKey(spec JobSpec, perSocket, ext []int) memoKey {
+	k := memoKey{
+		collective: spec.Collective, alg: spec.Alg, msgBytes: spec.MsgBytes,
+		calls: spec.Calls, faultSeed: spec.FaultSeed,
+		nPer: len(perSocket), nExt: len(ext),
+	}
+	if len(perSocket) > keySockets || len(ext) > keySockets {
+		k.wide = fmt.Sprint(perSocket, ext)
+		return k
+	}
+	copy(k.perSocket[:], perSocket)
+	copy(k.ext[:], ext)
+	return k
 }
 
 // canonicalCores turns a per-socket shape into a deterministic binding on

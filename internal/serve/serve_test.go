@@ -314,3 +314,27 @@ func TestValidateRejectsUnrunnableSpecs(t *testing.T) {
 		}
 	}
 }
+
+// TestMeasureMemoHitAllocatesNothing: a memoized service-time lookup keys
+// the memo by value, so a hit formats and allocates nothing, and requests
+// differing in any keyed field are measured apart.
+func TestMeasureMemoHitAllocatesNothing(t *testing.T) {
+	ms := newMeasurer(topo.NodeA())
+	spec := testMix()[2]
+	shape, ext := []int{2, 0}, []int{0, 3}
+	want := ms.service(spec, shape, ext)
+	if allocs := testing.AllocsPerRun(100, func() { ms.service(spec, shape, ext) }); allocs != 0 {
+		t.Errorf("a memo hit allocates %.1f times, want 0", allocs)
+	}
+	if got := ms.service(spec, []int{2, 0}, []int{0, 3}); got != want {
+		t.Errorf("equal request measured %v, want the memoized %v", got, want)
+	}
+	ms.service(spec, shape, []int{0, 0})
+	ms.service(spec, shape, nil)
+	other := spec
+	other.Calls++
+	ms.service(other, shape, ext)
+	if len(ms.memo) != 4 {
+		t.Errorf("%d memo entries, want 4 (nil and all-zero co-tenants are distinct requests)", len(ms.memo))
+	}
+}

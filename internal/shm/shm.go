@@ -9,6 +9,7 @@ package shm
 
 import (
 	"fmt"
+	"strconv"
 
 	"yhccl/internal/memmodel"
 	"yhccl/internal/sim"
@@ -32,8 +33,7 @@ func NewArena(model *memmodel.Model, name string, real bool) *Arena {
 // (first-touch placement decided by the algorithm).
 func (a *Arena) Alloc(label string, home int, n int64) *memmodel.Buffer {
 	a.seq++
-	return a.model.NewBuffer(
-		fmt.Sprintf("%s/%s#%d", a.name, label, a.seq),
+	return a.model.NewBuffer(a.name+"/"+label+"#"+strconv.Itoa(a.seq),
 		memmodel.Shared, home, n, a.real)
 }
 

@@ -147,11 +147,30 @@ type tmplStep struct {
 }
 
 // intraTemplate is one intra-node phase: per local rank, an ordered step
-// list. Nodes are homogeneous, so a single template serves every node; the
+// list, every local's in one slice (local l's are steps[off[l]:off[l+1]]).
+// Nodes are homogeneous, so a single template serves every node; the
 // per-rank runtime state stays O(1).
 type intraTemplate struct {
-	steps [][]tmplStep
+	steps []tmplStep
+	off   []int32
 }
+
+// newTemplate starts a template for p locals with room for n steps; each
+// local's steps are added in local order, each local closed by endLocal.
+func newTemplate(p, n int) *intraTemplate {
+	return &intraTemplate{steps: make([]tmplStep, 0, n), off: make([]int32, 1, p+1)}
+}
+
+// add appends a step to the current local.
+func (t *intraTemplate) add(dur sim.Tick, dep tmplDep) {
+	t.steps = append(t.steps, tmplStep{dur: dur, dep: dep})
+}
+
+// endLocal closes the current local's step list.
+func (t *intraTemplate) endLocal() { t.off = append(t.off, int32(len(t.steps))) }
+
+// step returns local l's step i.
+func (t *intraTemplate) step(l, i int) *tmplStep { return &t.steps[int(t.off[l])+i] }
 
 // lens returns the per-local step counts of a template over p locals (all
 // zero for a nil template).
@@ -159,10 +178,49 @@ func (t *intraTemplate) lens(p int) []int32 {
 	n := make([]int32, p)
 	if t != nil {
 		for l := range n {
-			n[l] = int32(len(t.steps[l]))
+			n[l] = t.off[l+1] - t.off[l]
 		}
 	}
 	return n
+}
+
+// stepCosts are the durations of a template's steps that move the same
+// bytes, each computed once (ToTicks and its rounding used to be most of
+// a compile): a copy and a reduction, within a socket and across sockets.
+type stepCosts struct {
+	c            progCosts
+	bytes        float64
+	copy, reduce [2]sim.Tick
+	done         [4]bool
+}
+
+func newStepCosts(c progCosts, bytes float64) stepCosts {
+	return stepCosts{c: c, bytes: bytes}
+}
+
+func crossIndex(cross bool) int {
+	if cross {
+		return 1
+	}
+	return 0
+}
+
+// copyT is progCosts.copyT of the template's bytes.
+func (s *stepCosts) copyT(cross bool) sim.Tick {
+	i := crossIndex(cross)
+	if !s.done[i] {
+		s.copy[i], s.done[i] = s.c.copyT(s.bytes, cross), true
+	}
+	return s.copy[i]
+}
+
+// reduceT is progCosts.reduceT of the template's bytes.
+func (s *stepCosts) reduceT(cross bool) sim.Tick {
+	i := crossIndex(cross)
+	if !s.done[2+i] {
+		s.reduce[i], s.done[2+i] = s.c.reduceT(s.bytes, cross), true
+	}
+	return s.reduce[i]
 }
 
 // localSockets groups locals 0..p-1 by the socket their block-bound core
@@ -200,19 +258,15 @@ func maReduceScatter(node *topo.Node, p int, blockBytes float64, c progCosts) *i
 	if p <= 1 {
 		return nil
 	}
-	t := &intraTemplate{steps: make([][]tmplStep, p)}
+	t, sc := newTemplate(p, p*p), newStepCosts(c, blockBytes)
 	for l := 0; l < p; l++ {
 		next := (l + 1) % p
 		cross := crossSocket(node, l, next)
-		steps := make([]tmplStep, p)
-		steps[0] = tmplStep{dur: c.copyT(blockBytes, false), dep: noDep}
+		t.add(sc.copyT(false), noDep)
 		for j := 1; j < p; j++ {
-			steps[j] = tmplStep{
-				dur: c.reduceT(blockBytes, cross),
-				dep: tmplDep{local: int32(next), step: int32(j - 1)},
-			}
+			t.add(sc.reduceT(cross), tmplDep{local: int32(next), step: int32(j - 1)})
 		}
-		t.steps[l] = steps
+		t.endLocal()
 	}
 	return t
 }
@@ -223,17 +277,13 @@ func maAllgather(node *topo.Node, p int, blockBytes float64, c progCosts) *intra
 	if p <= 1 {
 		return nil
 	}
-	t := &intraTemplate{steps: make([][]tmplStep, p)}
+	t, sc := newTemplate(p, p*(p-1)), newStepCosts(c, blockBytes)
 	for l := 0; l < p; l++ {
-		steps := make([]tmplStep, p-1)
 		for k := 0; k < p-1; k++ {
 			src := (l + k + 1) % p
-			steps[k] = tmplStep{
-				dur: c.copyT(blockBytes, crossSocket(node, l, src)),
-				dep: tmplDep{local: int32(src), step: -1},
-			}
+			t.add(sc.copyT(crossSocket(node, l, src)), tmplDep{local: int32(src), step: -1})
 		}
-		t.steps[l] = steps
+		t.endLocal()
 	}
 	return t
 }
@@ -242,18 +292,14 @@ func maAllgather(node *topo.Node, p int, blockBytes float64, c progCosts) *intra
 // wavefront inside each socket (blocks of msg/perSocket), then a chain of
 // cross-socket combines so every rank's block is reduced over all p locals.
 func socketReduceScatter(node *topo.Node, p, perSocket, sockets int, blockBytes float64, c progCosts) *intraTemplate {
-	t := &intraTemplate{steps: make([][]tmplStep, p)}
+	t, sc := newTemplate(p, p*(perSocket+sockets-1)), newStepCosts(c, blockBytes)
 	for l := 0; l < p; l++ {
 		sock, ls := l/perSocket, l%perSocket
 		next := sock*perSocket + (ls+1)%perSocket
-		steps := make([]tmplStep, 0, perSocket+sockets-1)
 		if perSocket > 1 {
-			steps = append(steps, tmplStep{dur: c.copyT(blockBytes, false), dep: noDep})
+			t.add(sc.copyT(false), noDep)
 			for j := 1; j < perSocket; j++ {
-				steps = append(steps, tmplStep{
-					dur: c.reduceT(blockBytes, false),
-					dep: tmplDep{local: int32(next), step: int32(j - 1)},
-				})
+				t.add(sc.reduceT(false), tmplDep{local: int32(next), step: int32(j - 1)})
 			}
 		}
 		for k := 1; k < sockets; k++ {
@@ -262,12 +308,9 @@ func socketReduceScatter(node *topo.Node, p, perSocket, sockets int, blockBytes 
 			if perSocket == 1 {
 				peerLast = -1 // peer has no MA phase; its data is phase input
 			}
-			steps = append(steps, tmplStep{
-				dur: c.reduceT(blockBytes, true),
-				dep: tmplDep{local: int32(peer), step: peerLast},
-			})
+			t.add(sc.reduceT(true), tmplDep{local: int32(peer), step: peerLast})
 		}
-		t.steps[l] = steps
+		t.endLocal()
 	}
 	return t
 }
@@ -278,18 +321,14 @@ func socketAllgather(node *topo.Node, p, perSocket int, blockBytes float64, c pr
 	if perSocket <= 1 {
 		return nil
 	}
-	t := &intraTemplate{steps: make([][]tmplStep, p)}
+	t, sc := newTemplate(p, p*(perSocket-1)), newStepCosts(c, blockBytes)
 	for l := 0; l < p; l++ {
 		sock, ls := l/perSocket, l%perSocket
-		steps := make([]tmplStep, perSocket-1)
 		for k := 0; k < perSocket-1; k++ {
 			src := sock*perSocket + (ls+k+1)%perSocket
-			steps[k] = tmplStep{
-				dur: c.copyT(blockBytes, false),
-				dep: tmplDep{local: int32(src), step: -1},
-			}
+			t.add(sc.copyT(false), tmplDep{local: int32(src), step: -1})
 		}
-		t.steps[l] = steps
+		t.endLocal()
 	}
 	return t
 }
@@ -327,24 +366,19 @@ func rgReduce(node *topo.Node, p, degree int, msgBytes float64, c progCosts) *in
 		return nil
 	}
 	children := rgGroups(p, degree)
-	t := &intraTemplate{steps: make([][]tmplStep, p)}
+	t, sc := newTemplate(p, 2*p), newStepCosts(c, msgBytes)
 	for l := 0; l < p; l++ {
 		if len(children[l]) == 0 {
-			t.steps[l] = []tmplStep{{dur: c.copyT(msgBytes, false), dep: noDep}}
-			continue
+			t.add(sc.copyT(false), noDep)
 		}
-		steps := make([]tmplStep, len(children[l]))
-		for i, kid := range children[l] {
+		for _, kid := range children[l] {
 			kidLast := len(children[kid]) // leaf: 1 step -> last index 0; parent: len(kids)-1
 			if kidLast == 0 {
 				kidLast = 1
 			}
-			steps[i] = tmplStep{
-				dur: c.reduceT(msgBytes, crossSocket(node, l, kid)),
-				dep: tmplDep{local: int32(kid), step: int32(kidLast - 1)},
-			}
+			t.add(sc.reduceT(crossSocket(node, l, kid)), tmplDep{local: int32(kid), step: int32(kidLast - 1)})
 		}
-		t.steps[l] = steps
+		t.endLocal()
 	}
 	return t
 }
@@ -358,18 +392,16 @@ func binomialBcast(node *topo.Node, p int, msgBytes float64, c progCosts) *intra
 	if p <= 1 {
 		return nil
 	}
-	t := &intraTemplate{steps: make([][]tmplStep, p)}
-	t.steps[0] = nil
+	t, sc := newTemplate(p, p-1), newStepCosts(c, msgBytes)
+	t.endLocal() // local 0 holds the data
 	for l := 1; l < p; l++ {
 		src := l - 1<<(bits.Len(uint(l))-1)
 		dep := tmplDep{local: int32(src), step: 0}
 		if src == 0 {
 			dep.step = -1
 		}
-		t.steps[l] = []tmplStep{{
-			dur: c.copyT(msgBytes, crossSocket(node, l, src)),
-			dep: dep,
-		}}
+		t.add(sc.copyT(crossSocket(node, l, src)), dep)
+		t.endLocal()
 	}
 	return t
 }
@@ -381,10 +413,10 @@ func binomialGather(node *topo.Node, p int, perRankBytes float64, c progCosts) *
 	if p <= 1 {
 		return nil
 	}
-	t := &intraTemplate{steps: make([][]tmplStep, p)}
+	t := newTemplate(p, p)
 	recvSteps := make([]int, p)
 	for l := 0; l < p; l++ {
-		var steps []tmplStep
+		steps := 0
 		for k := 0; ; k++ {
 			stride := 1 << k
 			if l%(2*stride) != 0 {
@@ -406,13 +438,11 @@ func binomialGather(node *topo.Node, p int, perRankBytes float64, c progCosts) *
 			if recvSteps[src] == 0 {
 				dep.step = -1
 			}
-			steps = append(steps, tmplStep{
-				dur: c.copyT(float64(segRanks)*perRankBytes, crossSocket(node, l, src)),
-				dep: dep,
-			})
-			recvSteps[l] = len(steps)
+			t.add(c.copyT(float64(segRanks)*perRankBytes, crossSocket(node, l, src)), dep)
+			steps++
+			recvSteps[l] = steps
 		}
-		t.steps[l] = steps
+		t.endLocal()
 	}
 	return t
 }
@@ -564,7 +594,7 @@ func (cp *clusterProgram) Step(rank, step int, visit func(depRank, depStep int) 
 	node, local := rank/cp.perNode, rank%cp.perNode
 	la := cp.aLen(node, local)
 	if step < la {
-		ts := &cp.tmplA.steps[local][step]
+		ts := cp.tmplA.step(local, step)
 		// Phase A has no predecessor phase; step -1 deps are free.
 		if ts.dep.local >= 0 && ts.dep.step >= 0 {
 			visit(node*cp.perNode+int(ts.dep.local), int(ts.dep.step))
@@ -581,7 +611,7 @@ func (cp *clusterProgram) Step(rank, step int, visit func(depRank, depStep int) 
 	if g >= int(cp.cLens[local]) {
 		return 0, false
 	}
-	ts := &cp.tmplC.steps[local][g]
+	ts := cp.tmplC.step(local, g)
 	if q := int(ts.dep.local); q >= 0 {
 		// Phase-relative step -1 lands on q's last step before phase C.
 		if ds := cp.aLen(node, q) + cp.bLen(node, q) + int(ts.dep.step); ds >= 0 {
@@ -828,9 +858,10 @@ func (c *Cluster) CompileBcast(alg Algorithm, n int64, o ScheduleOptions) (sim.P
 		piece := msg / float64(p)
 		cp := &clusterProgram{nodes: N, perNode: p, aOnlyNode0: true}
 		if p > 1 {
-			scatter := &intraTemplate{steps: make([][]tmplStep, p)}
+			scatter, sc := newTemplate(p, p), newStepCosts(costs, piece)
 			for l := 0; l < p; l++ {
-				scatter.steps[l] = []tmplStep{{dur: costs.copyT(piece, crossSocket(c.Node, l, 0)), dep: noDep}}
+				scatter.add(sc.copyT(crossSocket(c.Node, l, 0)), noDep)
+				scatter.endLocal()
 			}
 			cp.tmplA = scatter
 			cp.tmplC = maAllgather(c.Node, p, piece, costs)

@@ -124,14 +124,12 @@ func gatherBlocksViaShm(r *mpi.Rank, c *mpi.Comm, rb *memmodel.Buffer, n, bn int
 		memcopy.Copy(r, memcopy.Memmove, seg, lo, rb, lo, min64(bn, n-lo), memcopy.Hints{})
 	}
 	c.Barrier().Arrive(r.Proc())
-	for j := int64(1); j < p; j++ {
-		b := (me + j) % p
-		blo := b * bn
-		if blo >= n {
-			continue
-		}
-		memcopy.Copy(r, memcopy.Memmove, rb, blo, seg, blo, min64(bn, n-blo), memcopy.Hints{})
+	// Blocks me+1, ..., p-1, then 0, ..., me-1: each range is contiguous
+	// in seg and rb, so each is one run of block copies.
+	if hi := (me + 1) * bn; hi < n {
+		memcopy.CopyRun(r, memcopy.Memmove, rb, hi, seg, hi, n-hi, bn, memcopy.Hints{})
 	}
+	memcopy.CopyRun(r, memcopy.Memmove, rb, 0, seg, 0, min64(me*bn, n), bn, memcopy.Hints{})
 	c.Barrier().Arrive(r.Proc())
 }
 

@@ -150,45 +150,48 @@ func alltoallShm(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, o O
 	hOut := hints(c.Machine(), true, w)
 
 	// Publish: blocks destined to others go through the segment; the
-	// self-block short-circuits.
-	for j := int64(0); j < p; j++ {
-		if j == me {
-			r.CopyElems(rb, me*n, sb, me*n, n, memmodel.Temporal)
-			continue
-		}
-		memcopy.Copy(r, o.Policy, segs[me], j*n, sb, j*n, n, hIn)
+	// self-block short-circuits. One sequence: blocks before me, the
+	// self-block, blocks after me.
+	s := r.Seq(mpi.Op{})
+	publish := memmodel.Part{
+		Count:   int(me),
+		Op:      memmodel.Op{Kind: memmodel.CopyOp, Dst: segs[me], A: sb, N: n},
+		DStride: n, AStride: n,
 	}
+	memcopy.CopyPart(s, o.Policy, publish, hIn)
+	s.Add(memmodel.Part{Count: 1, Op: memmodel.Op{Kind: memmodel.CopyOp, Dst: rb, DOff: me * n, A: sb, AOff: me * n, N: n}})
+	publish.Count, publish.Op.DOff, publish.Op.AOff = int(p-me-1), (me+1)*n, (me+1)*n
+	memcopy.CopyPart(s, o.Policy, publish, hIn)
+	s.Charge()
 	c.Barrier().Arrive(r.Proc())
 
 	// Drain: rb[j*n..] = segs[j][me*n..]. Chunked so the Morton walk has a
 	// 2-D grid (source j x chunk t) to traverse.
 	chunk := sliceElems(n, o)
 	numChunks := ceilDiv(n, chunk)
-	type cell struct{ j, t int64 }
-	var order []cell
-	if morton {
-		dim := int64(1)
-		for dim < p || dim < numChunks {
-			dim *= 2
-		}
-		for z := int64(0); z < dim*dim; z++ {
-			j, t := mortonDecode(z)
-			if j < p && t < numChunks && j != me {
-				order = append(order, cell{j, t})
-			}
-		}
-	} else {
-		for jj := int64(1); jj < p; jj++ {
-			j := (me + jj) % p
-			for t := int64(0); t < numChunks; t++ {
-				order = append(order, cell{j, t})
-			}
-		}
+	if !morton {
+		// Sources me+1, me+2, ... (mod p), each in chunks, as one sequence.
+		s := r.Seq(mpi.Op{})
+		memcopy.CopyPart(s, o.Policy, memmodel.Part{
+			Count: int(p - 1), Rot: int(me + 1), Mod: int(p), As: segs,
+			Op:      memmodel.Op{Kind: memmodel.CopyOp, Dst: rb, AOff: me * n, N: n},
+			DStride: n, Slice: chunk,
+		}, hOut)
+		s.Charge()
+		c.Barrier().Arrive(r.Proc())
+		return
 	}
-	for _, cl := range order {
-		off := cl.t * chunk
-		ln := min64(chunk, n-off)
-		memcopy.Copy(r, o.Policy, rb, cl.j*n+off, segs[cl.j], me*n+off, ln, hOut)
+	dim := int64(1)
+	for dim < p || dim < numChunks {
+		dim *= 2
+	}
+	for z := int64(0); z < dim*dim; z++ {
+		j, t := mortonDecode(z)
+		if j >= p || t >= numChunks || j == me {
+			continue
+		}
+		off := t * chunk
+		memcopy.Copy(r, o.Policy, rb, j*n+off, segs[j], me*n+off, min64(chunk, n-off), hOut)
 	}
 	c.Barrier().Arrive(r.Proc())
 }

@@ -22,8 +22,10 @@ import (
 // touched by the rank chain l-1, l-2, ..., l (mod p), so a step only needs
 // a flag wait on the rank one position ahead — the neighbour
 // synchronization of §3.3.
+//
+// A maCtx is a value the collective keeps on its stack; the communicator
+// holds its segment, flags and counter.
 type maCtx struct {
-	comm  *mpi.Comm
 	shm   *memmodel.Buffer
 	flags []*shm.Flag
 	base  *int64
@@ -36,16 +38,14 @@ type maCtx struct {
 // whole point is that the p*I working set stays cache-resident (§3.3,
 // "avoid accessing remote NUMA's physical memory") — so it is homed on the
 // first participant's socket.
-func newMACtx(r *mpi.Rank, c *mpi.Comm, I int64, label string) *maCtx {
+func newMACtx(r *mpi.Rank, c *mpi.Comm, I int64, label string) maCtx {
 	p := c.Size()
 	me := c.CommRank(r.ID())
 	if me < 0 {
 		panic(fmt.Sprintf("coll: rank %d not in comm %s", r.ID(), c.Name()))
 	}
-	shmBuf := c.Shared(mpi.Key{Label: label, Name: "shm/I=%d", A: I}, c.SocketOf(0), I*int64(p))
-	return &maCtx{
-		comm:  c,
-		shm:   shmBuf,
+	return maCtx{
+		shm:   c.Shared(mpi.Key{Label: label, Name: "shm/I=%d", A: I}, c.SocketOf(0), I*int64(p)),
 		flags: c.Flags(mpi.Key{Label: label, Name: "flags"}),
 		base:  c.Counter(r, mpi.Key{Label: label, Name: "base"}),
 		I:     I,
@@ -54,40 +54,59 @@ func newMACtx(r *mpi.Rank, c *mpi.Comm, I int64, label string) *maCtx {
 	}
 }
 
-// pass runs one MA reduction pass. sbOff(l) and lenOf(l) give the send
-// buffer offset and length of slice l (lenOf may be 0 for ragged tails).
-// final, if non-nil, consumes the completed slice me (called with the shm
-// slot offset) instead of the default accumulate-into-shm.
-func (mc *maCtx) pass(r *mpi.Rank, sb *memmodel.Buffer,
-	sbOff func(l int) int64, lenOf func(l int) int64,
-	final func(slotOff, length int64),
+// pass runs one MA reduction pass as one sequence of p steps, each a wait
+// on the neighbour's flag, the step's op (a copy-in, then accumulates) and
+// a set of the rank's own flag.
+// Slice l of the send buffer is at sbOff + l*sbStride, length elements
+// long, cut to end by sbEnd (0 cuts nothing; a slice cut to nothing is
+// skipped, its waits and sets kept). final, when its Dst is not nil,
+// is the last step's op, storing with finalKind, instead of the default
+// accumulate into the rank's own slot.
+func (mc *maCtx) pass(r *mpi.Rank, sb *memmodel.Buffer, sbOff, sbStride, sbEnd, length int64,
+	final memmodel.Op, finalKind memmodel.StoreKind,
 	op mpi.Op, pol memcopy.Policy, hIn memcopy.Hints) {
 
-	basePass := *mc.base
-	for j := 0; j < mc.p; j++ {
-		l := (mc.me + j + 1) % mc.p
-		off := sbOff(l)
-		length := lenOf(l)
-		slot := int64(l) * mc.I
-		if j == 0 {
-			// The slot we are about to overwrite was finalized in the
-			// previous pass by rank l itself (its step p-1); its flag holds
-			// basePass once that completed.
-			mc.flags[l].Wait(r.Proc(), r.Core(), uint64(basePass))
-			memcopy.Copy(r, pol, mc.shm, slot, sb, off, length, hIn)
-		} else {
-			// Wait for the rank one ahead to finish its step j-1 on this
-			// slot (neighbour synchronization).
-			mc.flags[(mc.me+1)%mc.p].Wait(r.Proc(), r.Core(), uint64(basePass+int64(j)))
-			if j == mc.p-1 && final != nil {
-				final(slot, length)
-			} else {
-				r.AccumulateElems(mc.shm, slot, sb, off, length, op, memmodel.Temporal)
-			}
-		}
-		mc.flags[mc.me].Set(r.Proc(), uint64(basePass+int64(j)+1))
+	basePass := uint64(*mc.base)
+	p := mc.p
+	// Step j works on slot me+1+j and waits on the rank one ahead: at step
+	// 0 for the slot it finalized in the previous pass (its flag holds
+	// basePass once that completed), at step j for its step j-1 on this
+	// slot.
+	steps := memmodel.Part{
+		Count: p, Rot: mc.me + 1, Mod: p,
+		Wait: mc.flags[(mc.me+1)%p].Sync(), WaitVal: basePass,
+		Op:      memmodel.Op{Kind: memmodel.AccumulateOp, Dst: mc.shm, A: sb, AOff: sbOff, N: length},
+		DStride: mc.I, AStride: sbStride, AEnd: sbEnd,
+		Set: mc.flags[mc.me].Sync(), SetVal: basePass + 1,
 	}
-	*mc.base = basePass + int64(mc.p)
+	s := r.Seq(op)
+	withFinal := final.Dst != nil && p > 1
+	if withFinal {
+		steps.Count--
+	}
+	memcopy.CopyFirst(s, pol, steps, hIn)
+	if withFinal {
+		s.Add(memmodel.Part{
+			Count: 1,
+			Wait:  steps.Wait, WaitVal: basePass + uint64(p) - 1,
+			Op: final, Kind: finalKind, TailKind: finalKind,
+			Set: steps.Set, SetVal: basePass + uint64(p),
+		})
+	}
+	s.Charge()
+	*mc.base += int64(p)
+}
+
+// copyOut adds to s the copies of slots to rb: slot k (mc.shm at k*I) to
+// rb at dOff + k*dStride, length elements cut to end by n, for count
+// slots starting at slot rot, mod mod (mod 0: no rotation).
+func (mc *maCtx) copyOut(s *memmodel.Seq, rb *memmodel.Buffer, count, rot, mod int, dOff, dStride, length, n int64,
+	pol memcopy.Policy, hOut memcopy.Hints) {
+	memcopy.CopyPart(s, pol, memmodel.Part{
+		Count: count, Rot: rot, Mod: mod,
+		Op:      memmodel.Op{Kind: memmodel.CopyOp, Dst: rb, DOff: dOff, A: mc.shm, N: length},
+		DStride: dStride, AStride: mc.I, DEnd: n,
+	}, hOut)
 }
 
 // ReduceScatterMA is the flat movement-avoiding reduce-scatter (§3.3,
@@ -104,13 +123,9 @@ func ReduceScatterMA(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64,
 	outKind := memcopy.Decide(o.Policy, I*memmodel.ElemSize, hOut)
 	for start := int64(0); start < n; start += I {
 		length := min64(I, n-start)
-		mc.pass(r, sb,
-			func(l int) int64 { return int64(l)*n + start },
-			func(l int) int64 { return length },
-			func(slotOff, ln int64) {
-				r.CombineElems(rb, start, mc.shm, slotOff, sb, int64(mc.me)*n+start, ln, op, outKind)
-			},
-			op, o.Policy, hIn)
+		final := memmodel.Op{Kind: memmodel.CombineOp, Dst: rb, DOff: start, A: mc.shm, AOff: int64(mc.me) * mc.I,
+			B: sb, BOff: int64(mc.me)*n + start, N: length}
+		mc.pass(r, sb, start, n, 0, length, final, outKind, op, o.Policy, hIn)
 	}
 }
 
@@ -120,7 +135,7 @@ func ReduceScatterMA(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64,
 // geometry. It is the shared core of the MA all-reduce (§3.4, Algorithm 2)
 // and MA reduce (§3.5): afterChunk performs the copy-out.
 func maReduceToShm(r *mpi.Rank, c *mpi.Comm, sb *memmodel.Buffer, n int64, op mpi.Op, o Options,
-	label string, afterChunk func(mc *maCtx, start, length int64)) {
+	label string, afterChunk func(mc maCtx, start, length int64)) {
 	o = o.withDefaults()
 	bn := ceilDiv(n, int64(c.Size())) // conceptual block length
 	I := sliceElems(bn, o)
@@ -128,27 +143,11 @@ func maReduceToShm(r *mpi.Rank, c *mpi.Comm, sb *memmodel.Buffer, n int64, op mp
 	p := int64(c.Size())
 	w := (n*p + n*p + p*I) * memmodel.ElemSize // Algorithm 2's W
 	hIn := hints(c.Machine(), false, w)
-	blockLen := func(l int) int64 {
-		lo := int64(l) * bn
-		if lo >= n {
-			return 0
-		}
-		return min64(bn, n-lo)
-	}
 	for start := int64(0); start < bn; start += I {
 		length := min64(I, bn-start)
-		lenOf := func(l int) int64 {
-			bl := blockLen(l)
-			if start >= bl {
-				return 0
-			}
-			return min64(length, bl-start)
-		}
-		mc.pass(r, sb,
-			func(l int) int64 { return int64(l)*bn + start },
-			lenOf,
-			nil, // final step accumulates into shm
-			op, o.Policy, hIn)
+		// The final step accumulates into shm; slice l is piece start of
+		// block l, cut where the message ends.
+		mc.pass(r, sb, start, bn, n, length, memmodel.Op{}, 0, op, o.Policy, hIn)
 		c.Barrier().Arrive(r.Proc())
 		afterChunk(mc, start, length)
 		c.Barrier().Arrive(r.Proc())
@@ -166,16 +165,11 @@ func AllreduceMA(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op 
 	w := (n*p + n*p + p*I) * memmodel.ElemSize
 	hOut := hints(c.Machine(), true, w)
 	me := c.CommRank(r.ID())
-	maReduceToShm(r, c, sb, n, op, o, "ma-ar", func(mc *maCtx, start, length int64) {
-		for j := 0; j < c.Size(); j++ {
-			l := (me + j) % c.Size() // stagger slot access across ranks
-			lo := int64(l)*bn + start
-			if lo >= n {
-				continue
-			}
-			ln := min64(length, n-lo)
-			memcopy.Copy(r, o.Policy, rb, lo, mc.shm, int64(l)*mc.I, ln, hOut)
-		}
+	maReduceToShm(r, c, sb, n, op, o, "ma-ar", func(mc maCtx, start, length int64) {
+		// Every block's piece, staggering slot access across ranks.
+		s := r.Seq(op)
+		mc.copyOut(s, rb, c.Size(), me, c.Size(), start, bn, length, n, o.Policy, hOut)
+		s.Charge()
 	})
 }
 
@@ -189,17 +183,12 @@ func ReduceMA(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi
 	w := (n*p + n + p*I) * memmodel.ElemSize
 	hOut := hints(c.Machine(), true, w)
 	me := c.CommRank(r.ID())
-	maReduceToShm(r, c, sb, n, op, o, "ma-red", func(mc *maCtx, start, length int64) {
+	maReduceToShm(r, c, sb, n, op, o, "ma-red", func(mc maCtx, start, length int64) {
 		if me != root {
 			return
 		}
-		for l := 0; l < c.Size(); l++ {
-			lo := int64(l)*bn + start
-			if lo >= n {
-				continue
-			}
-			ln := min64(length, n-lo)
-			memcopy.Copy(r, o.Policy, rb, lo, mc.shm, int64(l)*mc.I, ln, hOut)
-		}
+		s := r.Seq(op)
+		mc.copyOut(s, rb, c.Size(), 0, 0, start, bn, length, n, o.Policy, hOut)
+		s.Charge()
 	})
 }

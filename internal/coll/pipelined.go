@@ -81,12 +81,15 @@ func AllgatherPipelined(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int
 	hOut := hints(c.Machine(), true, w)
 
 	copyOutAll := func(t int64) {
+		// Slice t of every rank's contribution, staggering slot reads.
 		off := t * I
-		ln := min64(I, n-off)
-		for j := int64(0); j < p; j++ {
-			a := (j + me) % p // stagger slot reads
-			memcopy.Copy(r, o.Policy, rb, a*n+off, slots, a*2*I+(t%2)*I, ln, hOut)
-		}
+		s := r.Seq(mpi.Op{})
+		memcopy.CopyPart(s, o.Policy, memmodel.Part{
+			Count: int(p), Rot: int(me), Mod: int(p),
+			Op:      memmodel.Op{Kind: memmodel.CopyOp, Dst: rb, DOff: off, A: slots, AOff: (t % 2) * I, N: min64(I, n-off)},
+			DStride: n, AStride: 2 * I,
+		}, hOut)
+		s.Charge()
 	}
 
 	numSlices := ceilDiv(n, I)

@@ -59,6 +59,31 @@ func rgChildren(p, k, v int) (children [][]int, parent int) {
 	return children, parent
 }
 
+// rgNode is virtual rank v's place in an RG tree: its children in
+// reduction order (the levels it parents at, flattened) and its parent (-1
+// for the root).
+type rgNode struct {
+	kids   []int
+	parent int
+}
+
+// rgTree returns the RG tree of degree k over c's ranks, by virtual rank,
+// resolved once per communicator and degree.
+func rgTree(c *mpi.Comm, k int) []rgNode {
+	return c.Derived(mpi.Key{Label: "rg", Name: "tree/k=%d", A: int64(k)}, func() any {
+		p := c.Size()
+		tree := make([]rgNode, p)
+		for v := range tree {
+			children, parent := rgChildren(p, k, v)
+			tree[v].parent = parent
+			for _, kids := range children {
+				tree[v].kids = append(tree[v].kids, kids...)
+			}
+		}
+		return tree
+	}).([]rgNode)
+}
+
 // rgRun executes the pipelined tree reduction rooted at comm rank root.
 // rootFinal performs the root's last accumulation of each slice: it
 // receives the slice index and geometry plus the operand locations
@@ -76,11 +101,8 @@ func rgRun(r *mpi.Rank, c *mpi.Comm, sb *memmodel.Buffer, n int64, op mpi.Op, ro
 	actual := func(w int) int { return (w + root) % p }
 	k := o.RGDegree
 	I := min64(int64(rgSliceBytes/memmodel.ElemSize), max64(n, 1))
-	children, parent := rgChildren(p, k, v)
-	var allKids []int // levels flattened in reduction order
-	for _, kids := range children {
-		allKids = append(allKids, kids...)
-	}
+	node := rgTree(c, k)[v]
+	allKids, parent := node.kids, node.parent // kids: levels flattened in reduction order
 	slots := c.Shared(mpi.Key{Label: label, Name: "slots/I=%d", A: I}, 0, int64(p)*2*I)
 	flags := c.Flags(mpi.Key{Label: label, Name: "flags"})
 	ctr := c.Counter(r, mpi.Key{Label: label, Name: "base"})

@@ -71,28 +71,12 @@ func socketMAReduce(r *mpi.Rank, c *mpi.Comm, sb *memmodel.Buffer, n int64, op m
 	w := (n*int64(p)*2 + int64(m)*int64(q)*I) * memmodel.ElemSize
 	hIn := hints(mach, false, w)
 
-	blockLen := func(b int) int64 {
-		lo := int64(b) * bn
-		if lo >= n {
-			return 0
-		}
-		return min64(bn, n-lo)
-	}
-
 	for g := 0; g < m; g++ {
 		for start := int64(0); start < bn; start += I {
 			length := min64(I, bn-start)
 			// Intra-socket pass: slot j covers global block j*m+g, piece
-			// [start, start+length).
-			sbOff := func(j int) int64 { return int64(j*geo.m+g)*bn + start }
-			lenOf := func(j int) int64 {
-				bl := blockLen(j*geo.m + g)
-				if start >= bl {
-					return 0
-				}
-				return min64(length, bl-start)
-			}
-			mc.pass(r, sb, sbOff, lenOf, nil, op, o.Policy, hIn)
+			// [start, start+length), cut where the message ends.
+			mc.pass(r, sb, int64(g)*bn+start, int64(m)*bn, n, length, memmodel.Op{}, 0, op, o.Policy, hIn)
 			c.Barrier().Arrive(r.Proc())
 			// Cross-socket combine: the owner of block b = j*m+g folds the
 			// m socket partials of slot j. Owners of this pass are the q
@@ -101,7 +85,7 @@ func socketMAReduce(r *mpi.Rank, c *mpi.Comm, sb *memmodel.Buffer, n int64, op m
 			if meGlobal%m == g {
 				j := meGlobal / m
 				if j < q {
-					if ln := lenOf(j); ln > 0 {
+					if ln := min64(length, n-(int64(meGlobal)*bn+start)); ln > 0 {
 						combine(geo, meGlobal, start, ln, int64(j)*I)
 					}
 				}
@@ -170,18 +154,11 @@ func AllreduceSocketMA(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int6
 			combineSockets(r, c, geo, intra, nodeShm, slotOff, slotOff, length, op, memmodel.Temporal)
 		},
 		func(geo socketGeometry, g int, pieceOff, length int64) {
-			// Every rank copies all q finished pieces of this pass to rb.
-			me := c.CommRank(r.ID())
-			for jj := 0; jj < geo.q; jj++ {
-				j := (jj + me) % geo.q // stagger
-				b := j*geo.m + g
-				lo := int64(b)*geo.bn + pieceOff
-				if lo >= n {
-					continue
-				}
-				ln := min64(length, n-lo)
-				memcopy.Copy(r, o.Policy, rb, lo, nodeShm, int64(j)*geo.I, ln, hOut)
-			}
+			// Every rank copies all q finished pieces of this pass to rb,
+			// staggered: piece j is of block j*m+g.
+			s := r.Seq(op)
+			copyPieces(s, rb, nodeShm, geo, c.CommRank(r.ID()), geo.q, g, pieceOff, length, o.Policy, hOut)
+			s.Charge()
 		})
 }
 
@@ -209,14 +186,21 @@ func ReduceSocketMA(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, 
 			if c.CommRank(r.ID()) != root {
 				return
 			}
-			for j := 0; j < geo.q; j++ {
-				b := j*geo.m + g
-				lo := int64(b)*geo.bn + pieceOff
-				if lo >= n {
-					continue
-				}
-				ln := min64(length, n-lo)
-				memcopy.Copy(r, o.Policy, rb, lo, nodeShm, int64(j)*geo.I, ln, hOut)
-			}
+			s := r.Seq(op)
+			copyPieces(s, rb, nodeShm, geo, 0, 0, g, pieceOff, length, o.Policy, hOut)
+			s.Charge()
 		})
+}
+
+// copyPieces adds to s the copies of a pass's q finished pieces from the
+// node segment to rb: piece j (at j*I) holds piece pieceOff of global
+// block j*m+g, length elements cut where the message ends. The copies
+// start at piece rot, mod mod (mod 0: no rotation).
+func copyPieces(s *memmodel.Seq, rb, nodeShm *memmodel.Buffer, geo socketGeometry, rot, mod, g int,
+	pieceOff, length int64, pol memcopy.Policy, hOut memcopy.Hints) {
+	memcopy.CopyPart(s, pol, memmodel.Part{
+		Count: geo.q, Rot: rot, Mod: mod,
+		Op:      memmodel.Op{Kind: memmodel.CopyOp, Dst: rb, DOff: int64(g)*geo.bn + pieceOff, A: nodeShm, N: length},
+		DStride: int64(geo.m) * geo.bn, AStride: geo.I, DEnd: geo.n,
+	}, hOut)
 }

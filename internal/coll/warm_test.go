@@ -39,6 +39,30 @@ var warmCases = []warmCase{
 	{"reduce/2lvl", same, same, func(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64) {
 		ReduceTwoLevel(r, c, sb, rb, n, mpi.Sum, 0, Options{})
 	}},
+	{"allreduce/ma", same, same, func(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64) {
+		AllreduceMA(r, c, sb, rb, n, mpi.Sum, Options{})
+	}},
+	{"reduce-scatter/ma", same, block, func(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64) {
+		ReduceScatterMA(r, c, sb, rb, n/int64(c.Size()), mpi.Sum, Options{})
+	}},
+	{"reduce/ma", same, same, func(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64) {
+		ReduceMA(r, c, sb, rb, n, mpi.Sum, 0, Options{})
+	}},
+	{"allreduce/socket-ma", same, same, func(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64) {
+		AllreduceSocketMA(r, c, sb, rb, n, mpi.Sum, Options{})
+	}},
+	{"reduce-scatter/socket-ma", same, block, func(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64) {
+		ReduceScatterSocketMA(r, c, sb, rb, n/int64(c.Size()), mpi.Sum, Options{})
+	}},
+	{"reduce/socket-ma", same, same, func(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64) {
+		ReduceSocketMA(r, c, sb, rb, n, mpi.Sum, 0, Options{})
+	}},
+	{"allreduce/rg", same, same, func(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64) {
+		AllreduceRG(r, c, sb, rb, n, mpi.Sum, Options{})
+	}},
+	{"reduce/rg", same, same, func(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64) {
+		ReduceRG(r, c, sb, rb, n, mpi.Sum, 0, Options{})
+	}},
 }
 
 // TestWarmCallsAllocateNothing: a warm collective call finds every

@@ -40,28 +40,44 @@ func AllreduceXPMEM(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, 
 	// Phase 1: direct-access reduce of block me into rb[me*bn].
 	lo := me * bn
 	if lo < n {
-		ln := min64(bn, n-lo)
-		first := c.Peer(mpi.Key{Label: "xpmem-ar", Name: "sb"}, int((me+1)%p))
-		r.CombineElems(rb, lo, sb, lo, first, lo, ln, op, memmodel.Temporal)
-		for j := int64(2); j < p; j++ {
-			peer := c.Peer(mpi.Key{Label: "xpmem-ar", Name: "sb"}, int((me+j)%p))
-			r.AccumulateElems(rb, lo, peer, lo, ln, op, memmodel.Temporal)
-		}
+		foldPeers(r, int(me), sb, c.Peers(mpi.Key{Label: "xpmem-ar", Name: "sb"}), rb, lo, lo, min64(bn, n-lo), op)
 	}
 	c.Barrier().Arrive(r.Proc())
 
-	// Phase 2: direct-access all-gather of the other blocks.
-	for j := int64(1); j < p; j++ {
-		b := (me + j) % p
-		blo := b * bn
-		if blo >= n {
-			continue
-		}
-		ln := min64(bn, n-blo)
-		peer := c.Peer(mpi.Key{Label: "xpmem-ar", Name: "rb"}, int(b))
-		memcopy.Copy(r, memcopy.Memmove, rb, blo, peer, blo, ln, memcopy.Hints{})
-	}
+	// Phase 2: direct-access all-gather of the other blocks, each from
+	// its owner's receive buffer.
+	copyPeers(r, int(me), c.Peers(mpi.Key{Label: "xpmem-ar", Name: "rb"}), rb, bn, bn, bn, n)
 	c.Barrier().Arrive(r.Proc())
+}
+
+// foldPeers reduces sb and the peers' buffers (indexed by comm rank) at
+// sOff into dst at dOff over n elements, as one sequence: a combine of sb
+// and peer me+1, then an accumulate of each peer me+2, me+3, ... (mod p).
+func foldPeers(r *mpi.Rank, me int, sb *memmodel.Buffer, peers []*memmodel.Buffer, dst *memmodel.Buffer, dOff, sOff, n int64, op mpi.Op) {
+	p := len(peers)
+	s := r.Seq(op)
+	s.Add(memmodel.Part{Count: 1, Op: memmodel.Op{Kind: memmodel.CombineOp, Dst: dst, DOff: dOff,
+		A: sb, AOff: sOff, B: peers[(me+1)%p], BOff: sOff, N: n}})
+	if p > 2 {
+		s.Add(memmodel.Part{Count: p - 2, Rot: me + 2, Mod: p, As: peers,
+			Op: memmodel.Op{Kind: memmodel.AccumulateOp, Dst: dst, DOff: dOff, AOff: sOff, N: n}})
+	}
+	s.Charge()
+}
+
+// copyPeers copies, for each other comm rank b in the order me+1, me+2,
+// ... (mod p), b's peer buffer at b*sStride to rb at b*dStride, n
+// elements cut where rb's first end elements end (0 cuts nothing), with
+// memmove, as one sequence.
+func copyPeers(r *mpi.Rank, me int, peers []*memmodel.Buffer, rb *memmodel.Buffer, dStride, sStride, n, end int64) {
+	p := len(peers)
+	s := r.Seq(mpi.Op{})
+	memcopy.CopyPart(s, memcopy.Memmove, memmodel.Part{
+		Count: p - 1, Rot: me + 1, Mod: p, As: peers,
+		Op:      memmodel.Op{Kind: memmodel.CopyOp, Dst: rb, N: n},
+		DStride: dStride, AStride: sStride, DEnd: end,
+	}, memcopy.Hints{})
+	s.Charge()
 }
 
 // ReduceScatterXPMEM is the direct-access reduce-scatter: rank b reduces
@@ -74,13 +90,7 @@ func ReduceScatterXPMEM(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int
 		return
 	}
 	publishAndBarrier(r, c, mpi.Key{Label: "xpmem-rs", Name: "sb"}, sb)
-	lo := me * n
-	first := c.Peer(mpi.Key{Label: "xpmem-rs", Name: "sb"}, int((me+1)%p))
-	r.CombineElems(rb, 0, sb, lo, first, lo, n, op, memmodel.Temporal)
-	for j := int64(2); j < p; j++ {
-		peer := c.Peer(mpi.Key{Label: "xpmem-rs", Name: "sb"}, int((me+j)%p))
-		r.AccumulateElems(rb, 0, peer, lo, n, op, memmodel.Temporal)
-	}
+	foldPeers(r, int(me), sb, c.Peers(mpi.Key{Label: "xpmem-rs", Name: "sb"}), rb, 0, me*n, n, op)
 	c.Barrier().Arrive(r.Proc())
 }
 
@@ -105,25 +115,11 @@ func ReduceXPMEM(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op 
 		if int(me) == root {
 			dst, dOff = rb, lo
 		}
-		first := c.Peer(mpi.Key{Label: "xpmem-red", Name: "sb"}, int((me+1)%p))
-		r.CombineElems(dst, dOff, sb, lo, first, lo, ln, op, memmodel.Temporal)
-		for j := int64(2); j < p; j++ {
-			peer := c.Peer(mpi.Key{Label: "xpmem-red", Name: "sb"}, int((me+j)%p))
-			r.AccumulateElems(dst, dOff, peer, lo, ln, op, memmodel.Temporal)
-		}
+		foldPeers(r, int(me), sb, c.Peers(mpi.Key{Label: "xpmem-red", Name: "sb"}), dst, dOff, lo, ln, op)
 	}
 	c.Barrier().Arrive(r.Proc())
 	if int(me) == root {
-		for j := int64(1); j < p; j++ {
-			b := (me + j) % p
-			blo := b * bn
-			if blo >= n {
-				continue
-			}
-			ln := min64(bn, n-blo)
-			peer := c.Peer(mpi.Key{Label: "xpmem-red", Name: "part"}, int(b))
-			memcopy.Copy(r, memcopy.Memmove, rb, blo, peer, 0, ln, memcopy.Hints{})
-		}
+		copyPeers(r, int(me), c.Peers(mpi.Key{Label: "xpmem-red", Name: "part"}), rb, bn, 0, bn, n)
 	}
 	c.Barrier().Arrive(r.Proc())
 }
@@ -153,10 +149,6 @@ func AllgatherXPMEM(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, 
 		return
 	}
 	publishAndBarrier(r, c, mpi.Key{Label: "xpmem-ag", Name: "sb"}, sb)
-	for j := int64(1); j < p; j++ {
-		b := (me + j) % p
-		peer := c.Peer(mpi.Key{Label: "xpmem-ag", Name: "sb"}, int(b))
-		memcopy.Copy(r, memcopy.Memmove, rb, b*n, peer, 0, n, memcopy.Hints{})
-	}
+	copyPeers(r, int(me), c.Peers(mpi.Key{Label: "xpmem-ag", Name: "sb"}), rb, n, 0, n, 0)
 	c.Barrier().Arrive(r.Proc())
 }

@@ -134,3 +134,48 @@ func CopyRun(r *mpi.Rank, p Policy, dst *memmodel.Buffer, dOff int64,
 		Copy(r, p, dst, dOff+n-tail, src, sOff+n-tail, tail, h)
 	}
 }
+
+// CopyPart adds pt, a part of copies (see memmodel.Part), to s with the
+// store kinds policy p picks for each copy's size, as Copy would per copy:
+// Kind for its full copies and TailKind for the shorter ones. Those are a
+// run's last slices or the one item a DEnd or AEnd cut shortens, which
+// takes the part's strides to be at least its length (or a single item).
+func CopyPart(s *memmodel.Seq, p Policy, pt memmodel.Part, h Hints) {
+	pt.Kind, pt.TailKind = partKinds(p, pt, h)
+	s.Add(pt)
+}
+
+// CopyFirst adds pt to s with its first item a copy (memmodel.Part's
+// CopyFirst), storing with the kinds CopyPart would pick for a part of
+// such copies.
+func CopyFirst(s *memmodel.Seq, p Policy, pt memmodel.Part, h Hints) {
+	pt.CopyFirst = true
+	pt.FirstKind, pt.FirstTailKind = partKinds(p, pt, h)
+	s.Add(pt)
+}
+
+// partKinds returns the store kinds policy p picks for pt's full copies
+// and for its shorter ones.
+func partKinds(p Policy, pt memmodel.Part, h Hints) (full, short memmodel.StoreKind) {
+	n := pt.Op.N
+	tail := n
+	switch {
+	case pt.Slice > 0 && pt.Slice < n:
+		n, tail = pt.Slice, n%pt.Slice
+	case pt.DEnd > 0:
+		tail = cutLen(pt.DEnd-pt.Op.DOff, pt.DStride, n)
+	case pt.AEnd > 0:
+		tail = cutLen(pt.AEnd-pt.Op.AOff, pt.AStride, n)
+	}
+	return Decide(p, n*memmodel.ElemSize, h), Decide(p, tail*memmodel.ElemSize, h)
+}
+
+// cutLen returns the length to which an end span elements past the first
+// item's offset cuts the one item it shortens, items being n long at the
+// given stride.
+func cutLen(span, stride, n int64) int64 {
+	if stride > 0 && span > 0 {
+		span %= stride
+	}
+	return max(min(span, n), 0)
+}

@@ -98,9 +98,9 @@ type Model struct {
 	// capacity. All-zero for a solo job.
 	external []int
 
-	// charges[i] is the charge slot of the proc with ID i (see begin and
+	// charges[i] is the charge slot of the proc with ID i (see Seq and
 	// growCharges).
-	charges []charge
+	charges []Seq
 }
 
 // New builds a model for the node with the given rank-to-core binding
@@ -263,6 +263,15 @@ func (m *Model) SyncLatency(coreA, coreB int) float64 {
 // through sim flags/barriers by the caller).
 func (m *Model) CountSync() { m.counters.SyncCount++ }
 
+// CountWait records a flag wait by the rank on waiterCore for a flag owned
+// by ownerCore and returns the wait's latency. It is the one accounting of
+// a flag wait: shm flag waits and sequence waits both make it at the
+// wait's turn.
+func (m *Model) CountWait(waiterCore, ownerCore int) float64 {
+	m.CountSync()
+	return m.SyncLatency(waiterCore, ownerCore)
+}
+
 // dramTime charges DRAM traffic originating on `socket` against buffer b's
 // home memory and returns the time it takes.
 func (m *Model) dramTime(socket int, b *Buffer, bytes int64) float64 {
@@ -351,8 +360,9 @@ type Work interface {
 
 // Fuse charges op, one fused op, to p, the rank on core, as one
 // sim.Charge, calling w.Do(op) (when w is not nil) just before its first
-// sub-charge. The kind and every range are checked here, on p's stack,
-// before any sub-charge runs.
+// sub-charge. It is a sequence of one item with no wait or set. The kind
+// and every range are checked here, on p's stack, before any sub-charge
+// runs.
 //
 // Determinism: the sub-charges are the ones separate Load, Store and
 // ReduceFloor calls would make, each updating residency and counters and
@@ -363,21 +373,15 @@ type Work interface {
 // that next sub-charge itself when it pops p — the moment the resumed rank
 // would have run it — so charged times, counters and residency decisions
 // are bit-identical to one Advance per sub-charge. The same holds across
-// the ops of a Run, and for the data work w does at each op's first
-// sub-charge: it runs at the point of the schedule where the rank would
-// have run it before issuing the op alone.
+// the ops of a Run or a sequence, for the data work w does at each op's
+// first sub-charge — it runs at the point of the schedule where the rank
+// would have run it before issuing the op alone — and for a sequence's
+// waits and sets, which are the engine's Wait and Set at the points where
+// the rank would have called them.
 func (m *Model) Fuse(p *sim.Proc, core int, op Op, kind StoreKind, w Work) {
-	if op.Kind > CombineOp {
-		panic(fmt.Sprintf("memmodel: unknown op kind %d", op.Kind))
-	}
-	op.Dst.CheckRange(op.DOff, op.N)
-	op.A.CheckRange(op.AOff, op.N)
-	if op.Kind == CombineOp {
-		op.B.CheckRange(op.BOff, op.N)
-	}
-	c := m.begin(p, core, kind, w)
-	c.tmpl, c.n, c.slice = op, op.N, op.N
-	m.drive(p, c)
+	s := m.Seq(p, core, w)
+	s.Add(Part{Count: 1, Op: op, Kind: kind, TailKind: kind})
+	s.Charge()
 }
 
 // Run charges a run of fused ops to p, the rank on core, as one
@@ -385,25 +389,25 @@ func (m *Model) Fuse(p *sim.Proc, core int, op Op, kind StoreKind, w Work) {
 // over n elements, in slices of at most slice elements. Each slice is a
 // CopyOp of srcs[0] when there is one source, and otherwise a CombineOp of
 // srcs[0] and srcs[1] followed by an AccumulateOp of each further source.
-// w.Do (when w is not nil) runs at each op's first sub-charge, as in Fuse,
+// It is a sequence of one item whose ops fold the further sources. w.Do
+// (when w is not nil) runs at each op's first sub-charge, as in Fuse,
 // whose determinism argument covers every op of the run. Every range is
 // checked here, before any sub-charge runs.
 func (m *Model) Run(p *sim.Proc, core int, dst *Buffer, dOff int64, srcs []*Buffer, sOff, n, slice int64, kind StoreKind, w Work) {
 	if len(srcs) == 0 || slice <= 0 {
 		panic(fmt.Sprintf("memmodel: run into %q of %d sources in slices of %d", dst.Name, len(srcs), slice))
 	}
-	dst.CheckRange(dOff, n)
-	for _, src := range srcs {
-		src.CheckRange(sOff, n)
-	}
-	c := m.begin(p, core, kind, w)
-	c.tmpl = Op{Kind: CopyOp, Dst: dst, DOff: dOff, A: srcs[0], AOff: sOff}
+	s := m.Seq(p, core, w)
+	op := Op{Kind: CopyOp, Dst: dst, DOff: dOff, A: srcs[0], AOff: sOff, N: n}
 	if len(srcs) > 1 {
-		c.tmpl.Kind, c.tmpl.B, c.tmpl.BOff = CombineOp, srcs[1], sOff
-		c.folds = append(c.folds, srcs[2:]...)
+		op.Kind, op.B, op.BOff = CombineOp, srcs[1], sOff
+		for _, src := range srcs[2:] {
+			src.CheckRange(sOff, n)
+		}
+		s.folds = append(s.folds, srcs[2:]...)
 	}
-	c.n, c.slice = n, slice
-	m.drive(p, c)
+	s.Add(Part{Count: 1, Op: op, Slice: slice, Kind: kind, TailKind: kind})
+	s.Charge()
 }
 
 // CountCopyVolume adds 2*n elements worth of bytes to the copy-volume
@@ -451,101 +455,355 @@ type subCharge struct {
 	off int64
 }
 
-// charge is a run of fused ops as one sim.Charge, with the acting core's
-// socket and cursor bank resolved once when the run begins. The run is n
-// elements in slices of at most slice: each slice is the template op
-// shifted to the slice and cut to its length, then an AccumulateOp of each
-// fold source into the slice's destination. A single op is a run of one
-// slice with no fold sources.
-type charge struct {
+// Sync is a flag of a sequence and the core that owns it, whose distance
+// from the waiting rank's core is a wait's latency (SyncLatency).
+type Sync struct {
+	Flag  *sim.Flag
+	Owner int
+}
+
+// Part is Count items of a sequence, laid out arithmetically so that a
+// sequence of many items stores none of them. Item i (0 <= i < Count)
+// works at index k = (Rot+i) mod Mod, or k = i when Mod is 0, and:
+//
+//   - waits, when Wait.Flag is not nil, for the flag to reach WaitVal+i,
+//     counting a sync and paying the latency between the rank's core and
+//     the flag's owner, as a flag wait on the rank's stack does;
+//   - charges the ops of Op moved to k: Dst at DOff+k*DStride, A (As[k]
+//     when As is not nil) at AOff+k*AStride and B at BOff+k*BStride, over
+//     Op.N elements cut so that Dst's range ends by DEnd and A's by AEnd
+//     (an end of 0 cuts nothing), in ops of at most Slice elements (all of
+//     them when Slice is 0). An op as long as a full one (Slice, or Op.N
+//     when Slice is 0 or larger) stores with Kind, a shorter one — a cut
+//     item or a run's last slice — with TailKind. An item cut to nothing
+//     charges no op. With CopyFirst, item 0's ops are CopyOps of its Dst
+//     and A instead, storing with FirstKind and FirstTailKind (the MA
+//     chain's copy-in before its accumulates);
+//   - sets, when Set.Flag is not nil, the flag to SetVal+i after every
+//     item, or, when SetLast, to SetVal after the last item only.
+type Part struct {
+	Count, Rot, Mod int
+
+	Wait    Sync
+	WaitVal uint64
+
+	Op                        Op
+	As                        []*Buffer
+	DStride, AStride, BStride int64
+	DEnd, AEnd                int64
+	Slice                     int64
+	Kind, TailKind            StoreKind
+	FirstKind, FirstTailKind  StoreKind
+
+	Set       Sync
+	SetVal    uint64
+	SetLast   bool
+	CopyFirst bool
+}
+
+// item returns item i's op, cut.
+func (pt *Part) item(i int) (op Op) {
+	k := int64(i)
+	if pt.Mod > 0 {
+		k = int64((pt.Rot + i) % pt.Mod)
+	}
+	op = pt.Op
+	op.DOff += k * pt.DStride
+	op.AOff += k * pt.AStride
+	op.BOff += k * pt.BStride
+	if pt.As != nil {
+		op.A = pt.As[k]
+	}
+	if pt.DEnd > 0 {
+		op.N = min(op.N, pt.DEnd-op.DOff)
+	}
+	if pt.AEnd > 0 {
+		op.N = min(op.N, pt.AEnd-op.AOff)
+	}
+	return op
+}
+
+// full returns the length of the part's full ops.
+func (pt *Part) full() int64 {
+	if pt.Slice > 0 {
+		return min(pt.Slice, pt.Op.N)
+	}
+	return pt.Op.N
+}
+
+// sets reports whether item i sets a flag.
+func (pt *Part) sets(i int) bool {
+	return pt.Set.Flag != nil && (!pt.SetLast || i == pt.Count-1)
+}
+
+// steps reports whether item i has any step: a wait, an op or a set.
+func (pt *Part) steps(i int) bool {
+	op := pt.item(i)
+	return pt.Wait.Flag != nil || op.N > 0 || pt.sets(i)
+}
+
+// Seq is a proc's charge slot: a sequence of items (see Part) charged as
+// one sim.Charge, with the acting core, its socket and its cursor bank
+// resolved once when the sequence begins. Fuse and Run are its one-item
+// cases. Within an item the ops are its run: each slice of the item's op
+// is the op shifted to the slice and cut to its length, then an
+// AccumulateOp of each fold source (Run's further sources) into the
+// slice's destination.
+type Seq struct {
+	// The fields every sub-charge reads come first.
 	m            *Model
 	socket, slot int
-	store        stepOp
-	work         Work
-
-	tmpl     Op        // the first op of every slice, at offset 0 of the run
-	folds    []*Buffer // sources accumulated into each slice after tmpl
-	n, slice int64
-	at       int64 // offset of the current op's slice in the run
-	fold     int   // ops of the current slice started so far
-
-	op           Op // the current op
 	steps        [4]subCharge
 	nsteps, next int
+	lastOp       bool // the current op ends the sequence
+	op           Op   // the current op
+
+	p     *sim.Proc
+	core  int
+	work  Work
+	parts []Part
+	folds []*Buffer // sources accumulated into each slice after its first op
+
+	pi, i int // the current part and item
+	phase uint8
+
+	// The current item's run: n elements in slices of at most slice, ops
+	// of them not yet started; ops shorter than full store with tailStore.
+	tmpl      Op
+	store     stepOp
+	tailStore stepOp
+	full      int64
+	n, slice  int64
+	at        int64 // offset of the current op's slice in the run
+	fold      int   // ops of the current slice started so far
+	ops       int
+	final     bool // the item is the sequence's last
+	finalOps  bool // the item's last op ends the sequence
+
+	flag sim.FlagOp // the wait or set step Next last returned
 }
 
-func (c *charge) add(op stepOp, b *Buffer, off int64) {
-	c.steps[c.nsteps] = subCharge{op: op, b: b, off: off}
-	c.nsteps++
+// What an op boundary of a sequence moves to next.
+const (
+	atWait uint8 = iota // the current item's wait
+	atOps               // the next op of its run
+	atSet               // its set
+)
+
+func (s *Seq) add(op stepOp, b *Buffer, off int64) {
+	s.steps[s.nsteps] = subCharge{op: op, b: b, off: off}
+	s.nsteps++
 }
 
-// Next runs the next sub-charge (sim.Charge), first starting the run's
-// next op when the current one has run its last.
-func (c *charge) Next(*sim.Proc) (float64, bool) {
-	if c.next == c.nsteps {
-		c.startOp()
+// Next runs the sequence's next step (sim.Charge): at an op boundary it
+// first moves to the run's next op, or returns the item's set or the next
+// item's wait.
+func (s *Seq) Next(*sim.Proc) (float64, bool, *sim.FlagOp) {
+	if s.next == s.nsteps {
+		if s.ops > 0 { // the run goes on (ops remain only while it runs)
+			s.startOp()
+		} else if dt, last, f := s.boundary(); f != nil {
+			return dt, last, f
+		}
 	}
-	s := &c.steps[c.next]
-	c.next++
-	dt := c.m.step(c.socket, c.slot, s, c.op.N)
-	return dt, c.next == c.nsteps && c.fold > len(c.folds) && c.at+c.op.N == c.n
+	sc := &s.steps[s.next]
+	s.next++
+	return s.m.step(s.socket, s.slot, sc, s.op.N), s.next == s.nsteps && s.lastOp, nil
+}
+
+// boundary moves the sequence past the end of the current op. It returns
+// a wait (with its latency) or a set for the engine to perform, or a nil
+// flag op once the next op has been laid out.
+func (s *Seq) boundary() (dt float64, last bool, f *sim.FlagOp) {
+	for {
+		pt := &s.parts[s.pi]
+		switch s.phase {
+		case atWait:
+			s.beginItem(pt)
+			if pt.Wait.Flag != nil {
+				s.flag = sim.FlagOp{Flag: pt.Wait.Flag, Val: pt.WaitVal + uint64(s.i)}
+				return s.m.CountWait(s.core, pt.Wait.Owner), s.finalOps && s.ops == 0, &s.flag
+			}
+		case atOps:
+			if s.ops > 0 {
+				s.startOp()
+				return 0, false, nil
+			}
+			s.phase = atSet
+		case atSet:
+			i, final := s.i, s.final
+			s.phase = atWait
+			if s.i++; s.i == pt.Count {
+				s.pi, s.i = s.pi+1, 0
+			}
+			if pt.sets(i) {
+				s.flag = sim.FlagOp{Set: true, Flag: pt.Set.Flag, Val: pt.SetVal}
+				if !pt.SetLast {
+					s.flag.Val += uint64(i)
+				}
+				return 0, final, &s.flag
+			}
+		}
+	}
+}
+
+// beginItem lays out the current item's run.
+func (s *Seq) beginItem(pt *Part) {
+	op := pt.item(s.i)
+	s.store, s.tailStore = storeOp(pt.Kind), storeOp(pt.TailKind)
+	if pt.CopyFirst && s.i == 0 {
+		op.Kind = CopyOp
+		s.store, s.tailStore = storeOp(pt.FirstKind), storeOp(pt.FirstTailKind)
+	}
+	s.tmpl, s.full = op, pt.full()
+	s.n, s.slice = max(op.N, 0), pt.Slice
+	if s.slice <= 0 {
+		s.slice = s.n
+	}
+	s.at, s.fold, s.ops = 0, 0, 0
+	if s.n > 0 {
+		s.ops = int((s.n+s.slice-1)/s.slice) * (1 + len(s.folds))
+	}
+	s.final = s.pi == len(s.parts)-1 && s.i == pt.Count-1
+	s.finalOps = s.final && !pt.sets(s.i)
+	s.phase = atOps
 }
 
 // startOp makes the run's next op current: it lays out the op's
 // sub-charges and hands the op to the work hook.
-func (c *charge) startOp() {
-	if c.fold > len(c.folds) {
-		c.at += c.op.N
-		c.fold = 0
+func (s *Seq) startOp() {
+	s.ops--
+	if s.fold > len(s.folds) {
+		s.at += s.op.N
+		s.fold = 0
 	}
-	if c.fold == 0 {
-		c.op = c.tmpl
-		c.op.N = min(c.slice, c.n-c.at)
-		c.op.DOff += c.at
-		c.op.AOff += c.at
-		c.op.BOff += c.at
+	if s.fold == 0 {
+		s.op = s.tmpl
+		s.op.N = min(s.slice, s.n-s.at)
+		s.op.DOff += s.at
+		s.op.AOff += s.at
+		s.op.BOff += s.at
 	} else {
-		c.op.Kind, c.op.A, c.op.AOff = AccumulateOp, c.folds[c.fold-1], c.tmpl.AOff+c.at
+		s.op.Kind, s.op.A, s.op.AOff = AccumulateOp, s.folds[s.fold-1], s.tmpl.AOff+s.at
 	}
-	c.fold++
-	op := &c.op
-	c.nsteps, c.next = 0, 0
+	s.fold++
+	s.lastOp = s.ops == 0 && s.finalOps
+	op := &s.op
+	s.nsteps, s.next = 0, 0
 	switch op.Kind {
 	case CopyOp:
-		c.add(opLoad, op.A, op.AOff)
+		s.add(opLoad, op.A, op.AOff)
 	case AccumulateOp:
-		c.add(opLoad, op.Dst, op.DOff)
-		c.add(opLoad, op.A, op.AOff)
+		s.add(opLoad, op.Dst, op.DOff)
+		s.add(opLoad, op.A, op.AOff)
 	case CombineOp:
-		c.add(opLoad, op.A, op.AOff)
-		c.add(opLoad, op.B, op.BOff)
+		s.add(opLoad, op.A, op.AOff)
+		s.add(opLoad, op.B, op.BOff)
 	}
-	c.add(c.store, op.Dst, op.DOff)
+	if op.N < s.full {
+		s.add(s.tailStore, op.Dst, op.DOff)
+	} else {
+		s.add(s.store, op.Dst, op.DOff)
+	}
 	if op.Kind != CopyOp {
-		c.add(opFloor, nil, 0)
+		s.add(opFloor, nil, 0)
 	}
-	if c.work != nil {
-		c.work.Do(op)
+	if s.work != nil {
+		s.work.Do(op)
 	}
 }
 
-// begin returns p's charge slot, reset for a run by the rank on core with
-// the given store kind and work hook. A proc runs at most one charge at a
-// time — it is either starting one on its own stack or parked inside one —
-// so a slot per proc ID is never reused while the engine may still run its
-// sub-charges.
-func (m *Model) begin(p *sim.Proc, core int, kind StoreKind, w Work) *charge {
-	store := storeOp(kind)
+// Seq returns p's charge slot, emptied for a sequence by the rank on core
+// with the given work hook: Add its parts, then Charge it. A proc runs at
+// most one charge at a time — it is either building one on its own stack
+// or parked or blocked inside one — so a slot per proc ID is never reused
+// while the engine may still run its steps.
+func (m *Model) Seq(p *sim.Proc, core int, w Work) *Seq {
 	id := p.ID()
 	if id >= len(m.charges) {
 		m.growCharges(id + 1)
 	}
-	c := &m.charges[id]
-	c.socket, c.slot = m.coreSocket[core], m.coreSlot[core]
-	c.store, c.work = store, w
-	c.folds = c.folds[:0]
-	c.at, c.fold, c.nsteps, c.next = 0, 0, 0, 0
-	return c
+	s := &m.charges[id]
+	s.p, s.core, s.work = p, core, w
+	s.socket, s.slot = m.coreSocket[core], m.coreSlot[core]
+	s.parts, s.folds = s.parts[:0], s.folds[:0]
+	s.pi, s.i, s.phase, s.ops, s.nsteps, s.next = 0, 0, atWait, 0, 0, 0
+	return s
+}
+
+// Add appends pt to the sequence, checking its op kind, store kinds and
+// every item's ranges before any step of the sequence runs. A part of no
+// items adds nothing.
+func (s *Seq) Add(pt Part) {
+	if pt.Count <= 0 {
+		return
+	}
+	if pt.Op.Kind > CombineOp {
+		panic(fmt.Sprintf("memmodel: unknown op kind %d", pt.Op.Kind))
+	}
+	storeOp(pt.Kind)
+	storeOp(pt.TailKind)
+	storeOp(pt.FirstKind)
+	storeOp(pt.FirstTailKind)
+	if pt.Mod < 0 || pt.Rot < 0 {
+		panic(fmt.Sprintf("memmodel: part at rotation %d mod %d", pt.Rot, pt.Mod))
+	}
+	for i := 0; i < pt.Count; i++ {
+		op := pt.item(i)
+		if op.N <= 0 {
+			continue
+		}
+		op.Dst.CheckRange(op.DOff, op.N)
+		op.A.CheckRange(op.AOff, op.N)
+		if op.Kind == CombineOp {
+			op.B.CheckRange(op.BOff, op.N)
+		}
+		for _, f := range s.folds {
+			f.CheckRange(op.AOff, op.N)
+		}
+	}
+	s.parts = append(s.parts, pt)
+}
+
+// Charge charges the sequence to its proc as one sim.Charge. Items at its
+// end with no step are dropped first, so that the last step the engine
+// sees is the sequence's last; an empty sequence charges nothing. With a
+// tracer attached, every step instead goes through Advance, Wait or Set on
+// the proc's own stack, so spans keep the order in which ranks'
+// sub-charges complete.
+func (s *Seq) Charge() {
+	for len(s.parts) > 0 {
+		pt := &s.parts[len(s.parts)-1]
+		for pt.Count > 0 && !pt.steps(pt.Count-1) {
+			pt.Count--
+		}
+		if pt.Count > 0 {
+			break
+		}
+		s.parts = s.parts[:len(s.parts)-1]
+	}
+	if len(s.parts) == 0 {
+		return
+	}
+	p, m := s.p, s.m
+	if m.tracer == nil {
+		p.Charge(s)
+		return
+	}
+	for {
+		dt, last, f := s.Next(p)
+		switch {
+		case f == nil:
+			m.advance(p, &s.steps[s.next-1], dt)
+		case f.Set:
+			p.Set(f.Flag, f.Val)
+		default:
+			p.Wait(f.Flag, f.Val, dt)
+		}
+		if last {
+			return
+		}
+	}
 }
 
 // growCharges makes room for at least n charge slots. The first charge
@@ -559,29 +817,17 @@ func (m *Model) growCharges(n int) {
 	for _, r := range m.ranksPerSocket {
 		ranks += r
 	}
-	grown := make([]charge, max(n, ranks, 2*len(m.charges)))
-	for i := range grown {
-		grown[i].m = m
-	}
+	grown := make([]Seq, max(n, ranks, 2*len(m.charges)))
 	copy(grown, m.charges)
+	// The new slots share one array with room for one part each: Fuse, Run
+	// and most sequences are one part. A longer sequence grows its slot's
+	// array at the slot's first such sequence, and the slot keeps it.
+	parts := make([]Part, len(grown)-len(m.charges))
+	for i := len(m.charges); i < len(grown); i++ {
+		j := i - len(m.charges)
+		grown[i].m, grown[i].parts = m, parts[j:j:j+1]
+	}
 	m.charges = grown
-}
-
-// drive charges c to p as one sim.Charge. With a tracer attached, every
-// sub-charge instead goes through advance on p's own stack, so spans keep
-// the order in which ranks' sub-charges complete.
-func (m *Model) drive(p *sim.Proc, c *charge) {
-	if m.tracer == nil {
-		p.Charge(c)
-		return
-	}
-	for {
-		dt, last := c.Next(p)
-		m.advance(p, &c.steps[c.next-1], dt)
-		if last {
-			return
-		}
-	}
 }
 
 // advance charges the duration dt of sub-charge s, already performed,

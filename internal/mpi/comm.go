@@ -30,6 +30,7 @@ type Comm struct {
 	pubs     map[Key][]*memmodel.Buffer
 	counters map[Key][]int64
 	chans    []*chanState // p2p channel of (src, dst) at src*Size()+dst; nil until the first send
+	derived  map[Key]any  // Derived; nil until the first
 	barrier  *shm.Barrier
 	arena    *shm.Arena
 }
@@ -248,6 +249,37 @@ func (c *Comm) Peer(k Key, who int) *memmodel.Buffer {
 		panic(fmt.Sprintf("mpi: no buffer published as %q by comm rank %d", k, who))
 	}
 	return slots[who]
+}
+
+// Peers returns the buffers the comm ranks published under k, indexed by
+// comm rank; callers must not modify the slice.
+func (c *Comm) Peers(k Key) []*memmodel.Buffer {
+	c.check()
+	slots := c.pubs[k]
+	for who := range c.ranks {
+		if slots == nil || slots[who] == nil {
+			panic(fmt.Sprintf("mpi: no buffer published as %q by comm rank %d", k, who))
+		}
+	}
+	return slots
+}
+
+// Derived returns the communicator's derived structure keyed k — one a
+// collective computes from the communicator's shape alone, such as a
+// reduction tree — building it with build on first use. Later calls
+// return the same value, which callers must not modify.
+func (c *Comm) Derived(k Key, build func() any) any {
+	c.check()
+	if v, ok := c.derived[k]; ok {
+		return v
+	}
+	if c.derived == nil {
+		c.derived = make(map[Key]any)
+	}
+	v := build()
+	c.derived[k] = v
+	c.machine.created++
+	return v
 }
 
 // Counter returns a pointer to r's persistent counter keyed k, used by

@@ -91,7 +91,8 @@ func (c *Comm) fit(ch *chanState, elems int64) {
 // into staging (copy-in), the receiver copies it out. The send is buffered:
 // it completes once the message is staged, waiting only for the previous
 // message on this channel to have been drained. Matching Recv/RecvReduce
-// calls must agree on n.
+// calls must agree on n. The chunk copies, each followed by its produced
+// set, are one sequence.
 func (r *Rank) Send(c *Comm, dst int, buf *memmodel.Buffer, off, n int64) {
 	me := c.mustRank(r)
 	if dst == me {
@@ -106,52 +107,61 @@ func (r *Rank) Send(c *Comm, dst int, buf *memmodel.Buffer, off, n int64) {
 		ch.consumed.Wait(r.proc, r.Core(), uint64(ch.msgsSent))
 	}
 	c.fit(ch, n)
-	for done := int64(0); done < n; {
-		k := min64(ch.chunk, n-done)
-		r.CopyElems(ch.staging, done, buf, off+done, k, memmodel.Temporal)
-		ch.sent++
-		ch.produced.Set(r.proc, uint64(ch.sent))
-		done += k
-	}
+	chunks := (n + ch.chunk - 1) / ch.chunk
+	s := r.Seq(Op{})
+	s.Add(memmodel.Part{
+		Count:   int(chunks),
+		Op:      memmodel.Op{Kind: memmodel.CopyOp, Dst: ch.staging, A: buf, AOff: off, N: ch.chunk},
+		DStride: ch.chunk, AStride: ch.chunk, DEnd: n,
+		Set: ch.produced.Sync(), SetVal: uint64(ch.sent + 1),
+	})
+	s.Charge()
+	ch.sent += chunks
 	ch.msgsSent++
 }
 
 // Recv receives n elements into buf at off from comm rank src, copying each
 // chunk out of staging with the given store kind as it is published.
 func (r *Rank) Recv(c *Comm, src int, buf *memmodel.Buffer, off, n int64, kind memmodel.StoreKind) {
-	r.recvCommon(c, src, n, func(ch *chanState, sOff, dOff, k int64) {
-		r.CopyElems(buf, dOff, ch.staging, sOff, k, kind)
-	}, off)
+	r.recvCommon(c, src, memmodel.Op{Kind: memmodel.CopyOp, Dst: buf, DOff: off, N: n}, kind, Op{})
 }
 
 // RecvReduce receives n elements from comm rank src and folds them into buf
 // at off (buf = op(buf, incoming)) without an intermediate copy-out — the
 // fused receive+reduce used by ring/Rabenseifner reduction phases.
 func (r *Rank) RecvReduce(c *Comm, src int, buf *memmodel.Buffer, off, n int64, op Op) {
-	r.recvCommon(c, src, n, func(ch *chanState, sOff, dOff, k int64) {
-		r.AccumulateElems(buf, dOff, ch.staging, sOff, k, op, memmodel.Temporal)
-	}, off)
+	r.recvCommon(c, src, memmodel.Op{Kind: memmodel.AccumulateOp, Dst: buf, DOff: off, N: n}, memmodel.Temporal, op)
 }
 
-func (r *Rank) recvCommon(c *Comm, src int, n int64, consume func(ch *chanState, sOff, dOff, k int64), off int64) {
+// recvCommon receives o.N elements from comm rank src and consumes them
+// chunk by chunk with o, whose A is staging (at the chunk's offset in the
+// message) and whose other operands are at their offsets for the chunk at
+// the start of the message. Each chunk's produced wait and op, then the
+// consumed set, are one sequence.
+func (r *Rank) recvCommon(c *Comm, src int, o memmodel.Op, kind memmodel.StoreKind, op Op) {
 	me := c.mustRank(r)
 	if src == me {
 		panic("mpi: recv from self")
 	}
+	n := o.N
 	if n <= 0 {
 		panic("mpi: recv of non-positive length")
 	}
 	ch := c.channel(src, me)
 	c.fit(ch, n)
-	for done := int64(0); done < n; {
-		k := min64(ch.chunk, n-done)
-		ch.produced.Wait(r.proc, r.Core(), uint64(ch.rcvd+1))
-		consume(ch, done, off+done, k)
-		ch.rcvd++
-		done += k
-	}
+	chunks := (n + ch.chunk - 1) / ch.chunk
+	o.A, o.AOff, o.N = ch.staging, 0, ch.chunk
+	s := r.Seq(op)
+	s.Add(memmodel.Part{
+		Count: int(chunks),
+		Wait:  ch.produced.Sync(), WaitVal: uint64(ch.rcvd + 1),
+		Op: o, DStride: ch.chunk, AStride: ch.chunk, BStride: ch.chunk, AEnd: n,
+		Kind: kind, TailKind: kind,
+		Set: ch.consumed.Sync(), SetVal: uint64(ch.msgsRcvd + 1), SetLast: true,
+	})
+	s.Charge()
+	ch.rcvd += chunks
 	ch.msgsRcvd++
-	ch.consumed.Set(r.proc, uint64(ch.msgsRcvd))
 }
 
 // RecvCombine receives n elements from comm rank src and writes
@@ -160,9 +170,7 @@ func (r *Rank) recvCommon(c *Comm, src int, n int64, consume func(ch *chanState,
 // buffer slice straight into the output).
 func (r *Rank) RecvCombine(c *Comm, src int, dst *memmodel.Buffer, dOff int64,
 	other *memmodel.Buffer, oOff, n int64, op Op) {
-	r.recvCommon(c, src, n, func(ch *chanState, sOff, dOffK, k int64) {
-		r.CombineElems(dst, dOffK, ch.staging, sOff, other, oOff+(dOffK-dOff), k, op, memmodel.Temporal)
-	}, dOff)
+	r.recvCommon(c, src, memmodel.Op{Kind: memmodel.CombineOp, Dst: dst, DOff: dOff, B: other, BOff: oOff, N: n}, memmodel.Temporal, op)
 }
 
 // SendRecv performs the ring/exchange step: send one block to dst and
@@ -181,11 +189,4 @@ func (r *Rank) SendRecvReduce(c *Comm, dst int, sendBuf *memmodel.Buffer, sendOf
 	src int, redBuf *memmodel.Buffer, redOff, redN int64, op Op) {
 	r.Send(c, dst, sendBuf, sendOff, sendN)
 	r.RecvReduce(c, src, redBuf, redOff, redN, op)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -162,6 +162,21 @@ func (r *Rank) ReduceRun(dst *memmodel.Buffer, dOff int64, srcs []*memmodel.Buff
 	r.machine.Model.Run(r.proc, r.Core(), dst, dOff, srcs, sOff, n, slice, kind, (*opBody)(r))
 }
 
+// Seq starts a sequence of ops on r: each part added to it (see
+// memmodel.Part) lays out items of a flag wait, a run of fused ops and a
+// flag set, and Charge charges them all as one sim.Charge, so the rank's
+// coroutine resumes once for the whole sequence instead of once per op or
+// wait. The schedule, clocks, counters (sync count included) and data are
+// those of the same waits, ops and sets issued one by one, each op doing
+// its data work as CopyElems, AccumulateElems or CombineElems would, with
+// op as the reduction. Flags enter a part through shm.Flag.Sync, buffers
+// through the communicator's accessors. Every range is checked as a part
+// is added, before the first step.
+func (r *Rank) Seq(op Op) *memmodel.Seq {
+	r.op = op
+	return r.machine.Model.Seq(r.proc, r.Core(), (*opBody)(r))
+}
+
 // fuse charges the single op o.
 func (r *Rank) fuse(o memmodel.Op, kind memmodel.StoreKind) {
 	if o.N == 0 {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"yhccl/internal/mpi"
 	"yhccl/internal/resilient"
 	"yhccl/internal/topo"
 )
@@ -336,5 +337,38 @@ func TestMeasureMemoHitAllocatesNothing(t *testing.T) {
 	ms.service(other, shape, ext)
 	if len(ms.memo) != 4 {
 		t.Errorf("%d memo entries, want 4 (nil and all-zero co-tenants are distinct requests)", len(ms.memo))
+	}
+}
+
+// TestDNNStormRunCounts pins the engine work of the measurement that
+// prices dnn-storm, the heaviest tenant of the default mix: its 8-rank
+// 4 MB all-reduce, 8 calls, cold on NodeA with 8 co-tenant ranks on each
+// socket, at both its shapes. The run-queue pops are those of one park
+// per sub-charge and per flag wait (the schedule is the per-op one), while
+// the MA chains, copy-outs and p2p receives, each one sequence, resume the
+// ranks' coroutines at most half as often as one resume per op and wait
+// did (3,752 and 3,176).
+func TestDNNStormRunCounts(t *testing.T) {
+	spec := DefaultMix()[0]
+	node := topo.NodeA()
+	for _, tc := range []struct {
+		perSocket     []int
+		pops, resumes uint64
+	}{
+		{[]int{4, 4}, 6902, 3752},
+		{[]int{8, 0}, 6280, 3176},
+	} {
+		m := mpi.NewMachineWithContention(node, canonicalCores(node, tc.perSocket), []int{8, 8}, false)
+		body, err := healthyBody(spec, m.Size())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.MustRun(body)
+		got := m.RunCounts()
+		t.Logf("shape %v: %d pops, %d resumes", tc.perSocket, got.Pops, got.Resumes)
+		if got.Pops != tc.pops || got.Resumes > tc.resumes/2 {
+			t.Errorf("shape %v: %d pops and %d resumes, want %d pops and at most %d resumes",
+				tc.perSocket, got.Pops, got.Resumes, tc.pops, tc.resumes/2)
+		}
 	}
 }

@@ -78,8 +78,13 @@ func (f *Flag) Incr(p *sim.Proc) {
 // Wait blocks p (running on waiterCore) until the flag reaches v, charging
 // the coherence latency between waiterCore and the flag's owner core.
 func (f *Flag) Wait(p *sim.Proc, waiterCore int, v uint64) {
-	f.model.CountSync()
-	p.Wait(f.f, v, f.model.SyncLatency(waiterCore, f.ownerCore))
+	p.Wait(f.f, v, f.model.CountWait(waiterCore, f.ownerCore))
+}
+
+// Sync returns the flag as a sequence waits on or sets it (see
+// memmodel.Part): a sequence's wait counts and pays what Wait does.
+func (f *Flag) Sync() memmodel.Sync {
+	return memmodel.Sync{Flag: f.f, Owner: f.ownerCore}
 }
 
 // Barrier synchronizes a fixed group of cores. The release latency models a

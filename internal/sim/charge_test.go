@@ -17,8 +17,9 @@ type chargeLog struct {
 	entries []logEntry
 	shared  uint64
 	// engineSteps counts sub-charges the engine loop ran for a parked proc
-	// (p.cont is set only while runCont drives it).
-	engineSteps int
+	// (p.cont is set only while runCont drives it); engineBlocks counts
+	// the waits among them that found their flag unmet.
+	engineSteps, engineBlocks int
 }
 
 type logEntry struct {
@@ -36,7 +37,7 @@ type testCharge struct {
 	i        int
 }
 
-func (c *testCharge) Next(p *Proc) (float64, bool) {
+func (c *testCharge) Next(p *Proc) (float64, bool, *FlagOp) {
 	if p.cont != nil {
 		c.log.engineSteps++
 	}
@@ -47,14 +48,21 @@ func (c *testCharge) Next(p *Proc) (float64, bool) {
 	}
 	c.log.shared = c.log.shared*31 + uint64(p.id) + 1
 	c.i++
-	return dt, c.i == len(c.durs)
+	return dt, c.i == len(c.durs), nil
 }
 
 // runPerStep is the reference form of a charge: one Advance per sub-charge.
 func runPerStep(p *Proc, c Charge) {
 	for {
-		dt, last := c.Next(p)
-		p.Advance(dt)
+		dt, last, f := c.Next(p)
+		switch {
+		case f == nil:
+			p.Advance(dt)
+		case f.Set:
+			p.Set(f.Flag, f.Val)
+		default:
+			p.Wait(f.Flag, f.Val, dt)
+		}
 		if last {
 			return
 		}
@@ -71,6 +79,8 @@ const (
 	opSleep // AdvanceTo now+timeout: stays parked while others are mid-charge
 	opArrive
 	opPingPong // zero-latency flag ping-pong with the partner proc, forever
+	opSeq      // a sequence charge of sub-charges, waits and sets
+	opSeqPingPong
 )
 
 type progOp struct {
@@ -81,6 +91,7 @@ type progOp struct {
 	val      uint64
 	lat      float64
 	timeout  float64
+	seq      []seqStep
 }
 
 // chargeProgram is a generated multi-proc program: per-proc op lists over
@@ -236,6 +247,12 @@ func (pr chargeProgram) run(drive func(p *Proc, c Charge)) chargeRun {
 					p.AdvanceTo(p.Now() + op.timeout)
 				case opArrive:
 					p.Arrive(bar, op.lat)
+				case opSeq:
+					drive(p, &seqCharge{log: &out.log, op: k, steps: op.seq, flags: flags})
+				case opSeqPingPong:
+					for v := uint64(1); ; v++ {
+						drive(p, &seqCharge{log: &out.log, op: k, steps: pingPongSeq(op.flag, v), flags: flags})
+					}
 				case opPingPong:
 					mine, theirs := flags[op.flag], flags[1-op.flag]
 					for v := uint64(1); ; v++ {
@@ -381,12 +398,12 @@ func TestChargeFaultArmedWhileParked(t *testing.T) {
 // loop because the first leaves the proc parked.
 type panicCharge struct{ i int }
 
-func (c *panicCharge) Next(p *Proc) (float64, bool) {
+func (c *panicCharge) Next(p *Proc) (float64, bool, *FlagOp) {
 	c.i++
 	if c.i == 2 {
 		panic("boom in sub-charge")
 	}
-	return 5, false
+	return 5, false, nil
 }
 
 // runPanicCharge runs rank3, whose charge panics in a sub-charge the engine
@@ -448,12 +465,12 @@ func TestChargePanicSnapshotShowsRunning(t *testing.T) {
 // infCharge returns an infinite duration from its second sub-charge.
 type infCharge struct{ i int }
 
-func (c *infCharge) Next(p *Proc) (float64, bool) {
+func (c *infCharge) Next(p *Proc) (float64, bool, *FlagOp) {
 	c.i++
 	if c.i == 2 {
-		return math.Inf(1), true
+		return math.Inf(1), true, nil
 	}
-	return 5, false
+	return 5, false, nil
 }
 
 // TestChargeRejectsInfiniteDtInEngine: the engine loop applies the same dt

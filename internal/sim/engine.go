@@ -17,10 +17,11 @@
 // channel handoff (which must park, lock a run queue, and re-ready the
 // goroutine, checking timers along the way). A process that is still the
 // earliest runnable one skips parking entirely and keeps executing with zero
-// switches. A fused operation of several sub-charges (Proc.Charge), or a
-// run of such operations, resumes its coroutine at most once: after the
-// proc parks inside it, the loop runs each remaining sub-charge itself when
-// the proc reaches the front.
+// switches. A fused operation of several sub-charges (Proc.Charge), a run
+// of such operations, or a sequence of them with flag waits and sets
+// between, resumes its coroutine at most once: after the proc parks or
+// blocks inside it, the loop runs each remaining step itself when the proc
+// reaches the front.
 //
 // The runnable procs wait in a tournament tree ordered by (clock, seq), with
 // one leaf per proc. Parking or unparking a proc replays its leaf's path to
@@ -247,34 +248,71 @@ func (p *Proc) invalidTime(what string, t float64) {
 	panic(fmt.Sprintf("sim: proc %q at t=%g: invalid %s %v", p.name, p.clock, what, t))
 }
 
-// Charge is an operation made of an ordered list of sub-charges, each of
-// which updates shared model state and then takes virtual time (a fused
-// memory op: load, store, arithmetic floor). A charge may span many such
-// ops — a run of them with no synchronization in between — and then also
-// does each op's own work as the op's first sub-charge runs. Next performs
-// the next sub-charge and returns its duration; last reports that it was
-// the final one. The engine may call Next from its own loop while the proc
-// is parked, so Next must not block, sync, touch another proc or Advance,
-// and must not panic on anything that could have been validated before the
-// charge began.
+// Charge is an operation made of an ordered list of steps. Most steps
+// are sub-charges, each of which updates shared model state and then takes
+// virtual time (a fused memory op: load, store, arithmetic floor). A
+// charge may span many such ops — a run of them, or a sequence that also
+// waits on flags before ops and sets flags after them — and then also does
+// each op's own work as the op's first sub-charge runs. Next performs the
+// next step and returns its duration and whether it was the last one;
+// a non-nil flag op makes the step a Wait, whose latency dt is, or a Set,
+// which takes no time (the engine performs both). The engine may call
+// Next from its own loop while the proc is parked or blocked, so Next must
+// not block, Advance, touch another proc or sync itself, and must not panic
+// on anything that could have been validated before the charge began.
 type Charge interface {
-	Next(p *Proc) (dt float64, last bool)
+	Next(p *Proc) (dt float64, last bool, f *FlagOp)
 }
 
-// Charge runs c's sub-charges in order with exactly the schedule of one
-// Advance per sub-charge, while resuming the proc's coroutine at most once.
-// Sub-charges run on the proc's own stack while its clock stays within the
-// run-ahead horizon. When one leaves the clock past the horizon, the proc
-// parks, as Advance would, with the remaining sub-charges as its
-// continuation: the engine loop runs each of them when it pops the proc,
-// which is exactly when the resumed proc would have run it (see runCont).
-// The coroutine is resumed after the last one. A proc with a fault armed
-// drives every sub-charge through Advance instead, so slowdowns stretch,
-// and stalls and crashes fire between, the same sub-charges as before.
+// FlagOp is a charge's flag step: Set(Flag, Val) when Set, otherwise
+// Wait(Flag, Val, dt), which is a sub-charge of the latency dt when the
+// flag is met at its turn and blocks the proc until a Set releases it
+// when not.
+type FlagOp struct {
+	Set  bool
+	Flag *Flag
+	Val  uint64
+}
+
+// Charge runs c's steps in order with exactly the schedule of one Advance
+// per sub-charge, one Wait per wait and one Set per set, while resuming
+// the proc's coroutine at most once. Steps run on the proc's own stack
+// while its clock stays within the run-ahead horizon. When a sub-charge
+// (or a met wait's latency) leaves the clock past the horizon, the proc
+// parks, as Advance would, and when a wait is unmet it blocks on the flag,
+// as Wait would; either way the remaining steps are its continuation. The
+// engine loop runs them when it pops the proc, which is exactly when the
+// resumed proc would have run them (see runCont), and a releasing Set
+// requeues a blocked proc as it would any waiter. The coroutine is resumed
+// after the last step. A proc with a fault armed drives every step through
+// Advance, Wait and Set instead, so slowdowns stretch, and stalls and
+// crashes fire between, the same steps as before.
 func (p *Proc) Charge(c Charge) {
 	e := p.engine
 	for p.fault == nil {
-		dt, last := c.Next(p)
+		dt, last, f := c.Next(p)
+		if f != nil {
+			if f.Set {
+				p.Set(f.Flag, f.Val)
+				if last {
+					return
+				}
+				continue
+			}
+			if !p.await(f.Flag, f.Val, dt) {
+				if last {
+					p.suspendBlocked()
+					return
+				}
+				p.cont = c
+				p.suspendBlocked()
+				if p.cont == nil {
+					return // the engine ran the remaining steps
+				}
+				p.cont = nil // a fault was armed meanwhile: finish through Advance
+				continue
+			}
+		}
 		p.advanceClock(dt)
 		if last {
 			p.yield()
@@ -285,14 +323,21 @@ func (p *Proc) Charge(c Charge) {
 			e.requeue(p)
 			p.suspend()
 			if p.cont == nil {
-				return // the engine ran the remaining sub-charges
+				return // the engine ran the remaining steps
 			}
 			p.cont = nil // a fault was armed meanwhile: finish through Advance
 		}
 	}
 	for {
-		dt, last := c.Next(p)
-		p.Advance(dt)
+		dt, last, f := c.Next(p)
+		switch {
+		case f == nil:
+			p.Advance(dt)
+		case f.Set:
+			p.Set(f.Flag, f.Val)
+		default:
+			p.Wait(f.Flag, f.Val, dt)
+		}
 		if last {
 			return
 		}
@@ -370,6 +415,12 @@ type blocker interface {
 func (p *Proc) block(on blocker) {
 	p.state = Blocked
 	p.blockedOn = on
+	p.suspendBlocked()
+}
+
+// suspendBlocked suspends a proc already marked Blocked until a release
+// resumes it.
+func (p *Proc) suspendBlocked() {
 	p.suspend()
 	p.blockedOn = nil
 }
@@ -397,6 +448,7 @@ func (p *Proc) unblock(t float64) {
 		p.clock = t
 	}
 	p.state = Ready
+	p.blockedOn = nil
 	p.engine.makeRunnable(p)
 }
 
@@ -621,12 +673,15 @@ func (e *Engine) dequeue(p *Proc) {
 	e.updateHorizon()
 }
 
-// runCont runs the remaining sub-charges of the charge p parked inside,
-// one after another, exactly as p would run them once resumed here: each
-// passes the same clock check and, when it leaves the clock past the
-// horizon, parks p again with a fresh seq, as yield would.
+// runCont runs the remaining steps of the charge p parked or blocked
+// inside, one after another, exactly as p would run them once resumed
+// here: each sub-charge (and each met wait's latency) passes the same
+// clock check and, when it leaves the clock past the horizon, parks p
+// again with a fresh seq, as yield would; a set is Proc.Set at p's clock;
+// an unmet wait blocks p on its flag, off the run queue, keeping the rest
+// of the charge as its continuation.
 //
-// p stays at its leaf meanwhile. After each sub-charge one replay re-keys
+// p stays at its leaf meanwhile. After each timed step one replay re-keys
 // the leaf with p's new clock and the seq a re-park would give it, and the
 // horizon is re-derived from the new front. When another proc leads, its
 // key precedes p's, so its clock is the others' earliest and at most p's:
@@ -634,17 +689,38 @@ func (e *Engine) dequeue(p *Proc) {
 // clock and it continues. Either way that is yield's test against the
 // queue without p.
 // Past the horizon the seq is committed and p is already parked; within
-// it the seq stays unused.
+// it the seq stays unused. A set may requeue waiters, each with the next
+// seq, while p's leaf still holds the seq it did not use; the next timed
+// step re-keys p past them, and a set that ends the charge takes p off the
+// queue.
 //
 // runCont reports whether p's coroutine must be resumed now, p then being
-// off the queue: after the last sub-charge when the clock stays within the
+// off the queue: after the last step when the clock stays within the
 // horizon, or at once when a fault has been armed on p since it parked
-// (Charge then finishes through Advance). After a last sub-charge past the
-// horizon, p waits in the queue with no continuation, and its next turn
+// (Charge then finishes through Advance, Wait and Set). After a last step
+// that parks or blocks p, p waits with no continuation, and its next turn
 // resumes the coroutine.
 func (e *Engine) runCont(p *Proc) bool {
 	for p.fault == nil {
-		dt, last := p.cont.Next(p)
+		dt, last, f := p.cont.Next(p)
+		if f != nil {
+			if f.Set {
+				p.Set(f.Flag, f.Val)
+				if !last {
+					continue
+				}
+				p.cont = nil
+				e.dequeue(p)
+				return true
+			}
+			if !p.await(f.Flag, f.Val, dt) {
+				if last {
+					p.cont = nil
+				}
+				e.dequeue(p)
+				return false
+			}
+		}
 		p.advanceClock(dt)
 		if last {
 			p.cont = nil

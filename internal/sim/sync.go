@@ -59,14 +59,28 @@ func (p *Proc) Incr(f *Flag) { p.Set(f, f.val+1) }
 // engine's run-ahead window is a single comparison. A negative or
 // non-finite latency panics.
 func (p *Proc) Wait(f *Flag, v uint64, latency float64) {
-	p.checkTime("flag latency", latency)
-	if f.val >= v {
+	if p.await(f, v, latency) {
 		// Flag already set: pay only the flag-line load.
 		p.Advance(latency)
 		return
 	}
+	p.suspendBlocked()
+}
+
+// await is Wait up to the suspend, shared by Wait and a charge's wait
+// step: it reports a met wait, whose caller then charges the latency, or
+// registers p as a waiter and marks it Blocked on f, whose caller then
+// suspends it (Wait, Proc.Charge) or takes it off the run queue
+// (Engine.runCont).
+func (p *Proc) await(f *Flag, v uint64, latency float64) bool {
+	p.checkTime("flag latency", latency)
+	if f.val >= v {
+		return true
+	}
 	f.waiters = append(f.waiters, flagWaiter{p: p, threshold: v, latency: latency})
-	p.block(f)
+	p.state = Blocked
+	p.blockedOn = f
+	return false
 }
 
 // blockedReason renders a waiter's condition for deadlock diagnostics.
